@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.Uint64Var(&cfg.seed, "seed", 1, "base seed; instance i uses seed+i")
 	fs.IntVar(&cfg.samples, "samples", core.DefaultSamples, "random samples per start node (0 = greedy completion only)")
 	fs.IntVar(&cfg.starts, "starts", core.DefaultStarts, "start nodes per solver run")
-	fs.IntVar(&cfg.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.workers, "workers", 0, "cap on one solve's parallel tasks (0 = the whole GOMAXPROCS-sized executor)")
 	fs.Float64Var(&cfg.alpha, "alpha", core.DefaultAlpha, "CBASND adapted-probability exponent")
 	fs.StringVar(&cfg.sampler, "sampler", string(core.SamplerAuto), "CBASND weighted sampler: auto, linear or fenwick")
 	fs.StringVar(&cfg.regions, "regions", string(core.RegionAuto), "per-start (k−1)-hop search regions: auto, off or always (results-neutral)")
@@ -216,8 +216,8 @@ func runBatch(ctx context.Context, cfg config, out io.Writer) error {
 		return fmt.Errorf("%s: %w", cfg.batch, err)
 	}
 	// Items are fully explicit documents: -workers and the other experiment
-	// flags deliberately do not leak into them ("workers": 0 means
-	// GOMAXPROCS, exactly as it does on the wire).
+	// flags deliberately do not leak into them ("workers": 0 means no cap,
+	// exactly as it does on the wire).
 	items := make([]core.BatchItem, len(fileItems))
 	for i, fi := range fileItems {
 		req, err := core.DecodeRequest(fi.Request)

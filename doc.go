@@ -32,7 +32,7 @@
 //	solver  — the four paper algorithms behind a registry
 //	          (Register/New/Names) with the context-aware entry point
 //	          Solve(ctx, g, req). The driver decomposes the sample budget
-//	          into (start, sample-chunk) tasks over a worker pool with a
+//	          into (start, sample-chunk) tasks run on an Executor with a
 //	          shared lock-free incumbent for cross-start pruning:
 //	          Report.Best is independent of the worker count, while the
 //	          Pruned counter is advisory (schedule-dependent). Locality:
@@ -44,15 +44,17 @@
 //	          any registered objective unchanged. WithPrep shares a
 //	          precomputed start ranking (objective Bound scores) across
 //	          calls (per-call solves build a partial top-t ranking
-//	          instead of sorting the graph), WithWorkspacePool recycles per-worker scratch
-//	          buffers, WithRegionCache shares a bounded LRU of extracted
-//	          (start, radius) regions, and WithExecutor schedules a
-//	          solve's tasks on a shared bounded Executor — one goroutine
-//	          pool for the whole process, drained fairly across
-//	          concurrent solves — instead of a private per-call pool.
-//	          The executor schedules two priority lanes (interactive,
-//	          bulk) by weighted round-robin and drops queued tasks whose
-//	          solve deadline already passed at dequeue.
+//	          instead of sorting the graph), WithWorkspacePool recycles
+//	          task workspaces across calls (a solve without one recycles
+//	          them within the call), WithRegionCache shares a bounded LRU
+//	          of extracted (start, radius) regions. There is one
+//	          execution path: every solve runs its tasks on a bounded
+//	          Executor — the one WithExecutor attaches, else a package
+//	          default of GOMAXPROCS workers started on first use —
+//	          drained fairly across concurrent solves. The executor
+//	          schedules two priority lanes (interactive, bulk) by
+//	          weighted round-robin and drops queued tasks whose solve
+//	          deadline already passed at dequeue.
 //	admit   — admission control beside metrics, below service: a small
 //	          controller deciding admit / degrade / shed per request from
 //	          executor backlog signals (queue depth, windowed queue-wait

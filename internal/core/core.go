@@ -112,11 +112,11 @@ type Request struct {
 	// Execution strategy only: never affects Best or SamplesDrawn.
 	Region RegionMode `json:"region"`
 
-	// Workers bounds the solver's goroutine pool; ≤ 0 means GOMAXPROCS,
-	// and values above GOMAXPROCS are clamped to it (each worker carries
-	// an O(n) workspace, so the pool never exceeds the hardware).
-	// Scheduling only — it never affects results, so it is not part of the
-	// request identity for caching.
+	// Workers caps how many of this solve's tasks run at once on the
+	// executor every solve runs on; ≤ 0 means no cap beyond the
+	// executor's own size (GOMAXPROCS by default), which also bounds any
+	// larger value. Scheduling only — it never affects results, so it is
+	// not part of the request identity for caching.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -28,7 +28,7 @@ func TestRequestValidate(t *testing.T) {
 		{"default", func(*Request) {}, true},
 		{"zero samples is a real value", func(r *Request) { r.Samples = 0 }, true},
 		{"zero alpha", func(r *Request) { r.Alpha = 0 }, true},
-		{"negative workers means GOMAXPROCS", func(r *Request) { r.Workers = -1 }, true},
+		{"negative workers means no cap", func(r *Request) { r.Workers = -1 }, true},
 		{"k=0", func(r *Request) { r.K = 0 }, false},
 		{"starts=0", func(r *Request) { r.Starts = 0 }, false},
 		{"negative samples", func(r *Request) { r.Samples = -1 }, false},

@@ -72,7 +72,8 @@ func mutationBatches(n int) [][]graph.Mutation {
 }
 
 // reportsEqual demands bit-identical answers: same nodes, same willingness
-// bits, same sampling trajectory.
+// bits, same sampling trajectory. Pruned is schedule-dependent (see
+// core.Report), so callers solve with Workers = 1 to make it comparable.
 func reportsEqual(a, b core.Report) bool {
 	if a.Best.Willingness != b.Best.Willingness ||
 		len(a.Best.Nodes) != len(b.Best.Nodes) ||
@@ -130,6 +131,7 @@ func TestMutateInvariance(t *testing.T) {
 			req.Samples = 20
 			req.Starts = 3
 			req.Seed = seed
+			req.Workers = 1
 			got, err := s.Solve(ctx, "g", algo, req)
 			if err != nil {
 				t.Fatalf("%s/%d mutated solve: %v", algo, seed, err)
@@ -328,6 +330,7 @@ func TestServiceRecovery(t *testing.T) {
 	req := core.DefaultRequest(6)
 	req.Samples = 16
 	req.Seed = 11
+	req.Workers = 1
 	want, err := s.Solve(ctx, "g", "cbasnd", req)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,13 @@
 // default willingness objective's state is built eagerly at load; other
 // registered objectives bind lazily on first use and then stay resident.
 //
-// The service also owns one shared solver.Executor — a single goroutine
-// pool sized to GOMAXPROCS — and routes every Solve and SolveBatch through
-// it, so total solver goroutines stay bounded no matter how many requests
-// are in flight; without it each solve would spin a private pool and N
-// concurrent requests would oversubscribe the CPU N-fold. SolveBatch runs
-// many (algo, request) items against one graph in a single call, items
-// scheduled concurrently and failing independently.
+// The service also owns one solver.Executor — a single goroutine pool
+// sized to GOMAXPROCS — and routes every Solve and SolveBatch through it,
+// so total solver goroutines stay bounded no matter how many requests are
+// in flight, and its lanes, backlog and queue wait feed admission control
+// and /metrics. SolveBatch runs many (algo, request) items against one
+// graph in a single call, items scheduled concurrently and failing
+// independently.
 //
 // Layering: core (DTOs) → graph → solver → service → cmd/wasod. The service
 // owns graph lifetime (load/generate/evict) and per-request deadlines; it
@@ -202,9 +202,9 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Close stops the shared solve executor after draining in-flight work. The
-// store itself needs no teardown; solves issued after Close still complete
-// on private per-call pools.
+// Close stops the service's solve executor after draining in-flight work.
+// The store itself needs no teardown; solves issued after Close still
+// complete, bit-identically, on the solver package's default executor.
 func (s *Service) Close() {
 	s.exec.Close()
 }

@@ -169,6 +169,38 @@ func TestSolveMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestSolveAfterClose: Close stops the service's executor, yet a solve
+// issued afterwards still completes — on the solver's default executor —
+// with a Best bit-identical to the same solve before Close.
+func TestSolveAfterClose(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, Config{})
+	if _, err := s.Generate("g", testSpec(500)); err != nil {
+		t.Fatal(err)
+	}
+	req := core.DefaultRequest(10)
+	req.Samples = 40
+	req.Seed = 5
+	before := make(map[string]core.Solution)
+	for _, algo := range solver.Names() {
+		rep, err := s.Solve(ctx, "g", algo, req)
+		if err != nil {
+			t.Fatalf("%s before Close: %v", algo, err)
+		}
+		before[algo] = rep.Best
+	}
+	s.Close()
+	for _, algo := range solver.Names() {
+		rep, err := s.Solve(ctx, "g", algo, req)
+		if err != nil {
+			t.Fatalf("%s after Close: %v", algo, err)
+		}
+		if want := before[algo]; !rep.Best.Equal(want) || rep.Best.Willingness != want.Willingness {
+			t.Errorf("%s: after Close %v != before %v", algo, rep.Best, want)
+		}
+	}
+}
+
 // TestPooledWorkspacesAcrossRequests: interleaving requests with different
 // tuning (k, sampler backend, alpha) against one graph must not let a
 // recycled workspace leak state between them — every request reproduces

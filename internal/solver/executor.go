@@ -60,23 +60,21 @@ func LaneFor(ctx context.Context) Lane {
 	return LaneInteractive
 }
 
-// Executor is a process-wide, bounded solve scheduler: one goroutine pool —
-// sized to GOMAXPROCS by default — that every Solve whose context carries it
-// (WithExecutor) draws workers from, instead of spawning a private pool per
-// call. N concurrent solves on a private-pool path run N×GOMAXPROCS
-// goroutines and oversubscribe the CPU N-fold; through a shared Executor the
-// total stays at the pool size no matter how many solves are in flight.
+// Executor is a bounded solve scheduler and the only one: every Solve runs
+// its (start, sample-chunk) tasks on an Executor — the one its context
+// carries (WithExecutor), else a package default sized to GOMAXPROCS,
+// started on first use and never closed. One pool serves any number of
+// concurrent solves, so total solver goroutines stay at the pool size no
+// matter how many solves are in flight.
 //
 // Scheduling is fair within a lane and weighted across lanes: each solve
-// submits its (start, sample-chunk) task queue as one job on its lane, idle
-// workers drain the active jobs of a lane round-robin one task at a time,
-// and the interactive lane gets interactiveBurst picks for every bulk pick
-// when both lanes are backlogged — so a burst of small interactive queries
+// submits its task queue as one job on its lane, idle workers drain the
+// active jobs of a lane round-robin one task at a time, and the
+// interactive lane gets interactiveBurst picks for every bulk pick when
+// both lanes are backlogged — so a burst of small interactive queries
 // keeps making progress beside a saturated batch backlog, and bulk work
-// retains a guaranteed share under interactive floods. A job's parallelism
-// is additionally capped at the solve's own clamped Workers value, so
-// Request.Workers keeps its meaning (an upper bound on one solve's
-// parallelism) on the shared pool.
+// retains a guaranteed share under interactive floods. A positive
+// Request.Workers additionally caps one solve's parallelism on the pool.
 //
 // Jobs carry their solve's deadline: a job whose deadline has already
 // passed when a worker would dequeue its next task is dropped — its
@@ -92,9 +90,9 @@ func LaneFor(ctx context.Context) Lane {
 //
 // The zero Executor is not usable; construct with NewExecutor. Close is
 // idempotent and safe to race with in-flight run submissions: it drains
-// queued work and stops the workers, and a closed Executor makes Solve fall
-// back to its private per-call pool, so library callers can shut one down
-// without tearing down solving.
+// queued work and stops the workers, and jobs submitted to a closed
+// Executor run on the package default, so library callers can shut one
+// down without tearing down solving.
 type Executor struct {
 	workers int
 
@@ -227,8 +225,8 @@ func (e *Executor) QueueWait() *metrics.Histogram { return e.queueWait }
 
 // Close drains all queued jobs and stops the workers. Idempotent and safe
 // to call concurrently, including racing run submissions: a run that wins
-// the race is drained before the workers exit; one that loses returns
-// false and the solve falls back to its private pool.
+// the race is drained before the workers exit; one that loses runs on the
+// package default executor. A closed Executor's Stats stop moving.
 func (e *Executor) Close() {
 	e.mu.Lock()
 	if !e.closed {
@@ -239,20 +237,20 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// run executes n indexed tasks on the shared pool, at most maxParallel at a
-// time, and returns once every task has completed or been dropped. fn must
-// observe its solve's context itself (tasks of a cancelled solve are still
-// invoked, as fast no-ops) — exactly the drain contract of the private
-// worker pool it replaces. deadline (zero = none) lets the scheduler drop
-// the job's remaining tasks at dequeue once the solve's budget is already
-// exhausted. ok=false means the executor is closed and ran nothing;
-// expired=true means at least one task was dropped for its deadline.
-func (e *Executor) run(lane Lane, deadline time.Time, maxParallel, n int, fn func(idx int)) (ok, expired bool) {
+// run executes n indexed tasks on the pool, at most maxParallel at a time
+// (≤ 0 means no cap), and returns once every task has completed or been
+// dropped. fn must observe its solve's context itself: tasks of a
+// cancelled solve are still invoked, as fast no-ops. deadline (zero =
+// none) lets the scheduler drop the job's remaining tasks at dequeue once
+// the solve's budget is already exhausted; expired reports that at least
+// one task was dropped for it. A closed executor hands the job to the
+// package default.
+func (e *Executor) run(lane Lane, deadline time.Time, maxParallel, n int, fn func(idx int)) (expired bool) {
 	if n == 0 {
-		return true, false
+		return false
 	}
-	if maxParallel < 1 {
-		maxParallel = 1
+	if maxParallel <= 0 {
+		maxParallel = n
 	}
 	if lane < 0 || lane >= NumLanes {
 		lane = LaneBulk
@@ -264,7 +262,7 @@ func (e *Executor) run(lane Lane, deadline time.Time, maxParallel, n int, fn fun
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return false, false
+		return defaultExecutor().run(lane, deadline, maxParallel, n, fn)
 	}
 	e.jobs[lane] = append(e.jobs[lane], j)
 	e.lanes[lane].jobsTotal++
@@ -275,7 +273,7 @@ func (e *Executor) run(lane Lane, deadline time.Time, maxParallel, n int, fn fun
 	<-j.done
 	// done is closed under e.mu after the final mutation of j, so this read
 	// is ordered after every scheduler write to the job.
-	return true, j.expired > 0
+	return j.expired > 0
 }
 
 // runnableLocked returns the next runnable job of the lane in round-robin
@@ -413,18 +411,21 @@ func (e *Executor) worker() {
 type executorCtxKey struct{}
 
 // WithExecutor returns a context carrying e. A Solve whose context carries
-// an executor schedules its tasks on the shared pool instead of spawning a
-// private one — the mechanism the service layer uses to keep total solver
-// goroutines bounded under concurrent load. Callers that attach nothing keep
-// the per-call pool behavior unchanged.
+// an executor schedules its tasks there instead of on the package default
+// — the mechanism the service layer uses to own its pool's size, lanes and
+// telemetry.
 func WithExecutor(ctx context.Context, e *Executor) context.Context {
 	return context.WithValue(ctx, executorCtxKey{}, e)
 }
 
-// executorFor returns the context's executor, or nil.
+// defaultExecutor is the pool of every solve whose context carries no
+// executor: GOMAXPROCS workers at first use, never closed.
+var defaultExecutor = sync.OnceValue(func() *Executor { return NewExecutor(0) })
+
+// executorFor returns the context's executor, else the package default.
 func executorFor(ctx context.Context) *Executor {
-	if e, ok := ctx.Value(executorCtxKey{}).(*Executor); ok {
+	if e, ok := ctx.Value(executorCtxKey{}).(*Executor); ok && e != nil {
 		return e
 	}
-	return nil
+	return defaultExecutor()
 }

@@ -14,7 +14,8 @@ import (
 
 // TestExecutorBounds: no matter how many jobs are submitted concurrently,
 // the number of simultaneously running tasks never exceeds the pool size,
-// and a job's own maxParallel caps its share of the pool.
+// a job's own maxParallel caps its share of the pool, and a maxParallel
+// ≤ 0 leaves it uncapped.
 func TestExecutorBounds(t *testing.T) {
 	ex := NewExecutor(2)
 	defer ex.Close()
@@ -32,9 +33,7 @@ func TestExecutorBounds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ok, _ := ex.run(LaneInteractive, time.Time{}, 2, 6, task); !ok {
-				t.Error("run on open executor returned false")
-			}
+			ex.run(LaneInteractive, time.Time{}, 2, 6, task)
 		}()
 	}
 	wg.Wait()
@@ -67,6 +66,21 @@ func TestExecutorBounds(t *testing.T) {
 	if qw := ex.QueueWait().Snapshot(); qw.Count != 9 {
 		t.Errorf("queue-wait observations = %d, want 9 (one per job)", qw.Count)
 	}
+
+	// maxParallel ≤ 0 means no cap: each task waits for the other to
+	// start, which only a job running both at once can satisfy.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	ex.run(LaneInteractive, time.Time{}, 0, 2, func(int) {
+		arrived.Done()
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Error("maxParallel=0 job never ran its two tasks at once")
+		}
+	})
 }
 
 // TestExecutorEveryTaskOnce: each task index runs exactly once even with
@@ -92,9 +106,9 @@ func TestExecutorEveryTaskOnce(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExecutorSolveEquivalence: a Solve scheduled on a shared executor
-// returns bit-identical reports to the private-pool path, and actually ran
-// on the shared pool (Stats moved).
+// TestExecutorSolveEquivalence: a Solve scheduled on an attached executor
+// returns bit-identical reports to the same Solve on the package default,
+// and actually ran on the attached pool (its Stats moved).
 func TestExecutorSolveEquivalence(t *testing.T) {
 	g, err := gen.Spec{Kind: "powerlaw", N: 600, AvgDeg: 8, Seed: 3}.Build()
 	if err != nil {
@@ -111,20 +125,20 @@ func TestExecutorSolveEquivalence(t *testing.T) {
 			req.Seed = seed
 			want, err := sv.Solve(ctx, g, req)
 			if err != nil {
-				t.Fatalf("%s private: %v", sv.Name(), err)
+				t.Fatalf("%s default: %v", sv.Name(), err)
 			}
 			got, err := sv.Solve(exCtx, g, req)
 			if err != nil {
-				t.Fatalf("%s shared: %v", sv.Name(), err)
+				t.Fatalf("%s attached: %v", sv.Name(), err)
 			}
 			if !got.Best.Equal(want.Best) || got.Best.Willingness != want.Best.Willingness ||
 				got.SamplesDrawn != want.SamplesDrawn {
-				t.Errorf("%s seed %d: shared %v != private %v", sv.Name(), seed, got.Best, want.Best)
+				t.Errorf("%s seed %d: attached %v != default %v", sv.Name(), seed, got.Best, want.Best)
 			}
 		}
 	}
 	if ex.Stats().Tasks == 0 {
-		t.Error("executor saw no tasks — solves did not run on the shared pool")
+		t.Error("attached executor saw no tasks — solves ran on the default pool")
 	}
 }
 
@@ -161,9 +175,10 @@ func TestExecutorCancellation(t *testing.T) {
 	}
 }
 
-// TestExecutorClose: Close drains queued work, run after Close reports
-// false, and a Solve carrying a closed executor falls back to the private
-// pool and still succeeds.
+// TestExecutorClose: Close drains queued work; afterwards the closed
+// executor's Stats stop moving, a run on it executes every task exactly
+// once on the package default, and a Solve carrying it returns the same
+// Best as one on the default.
 func TestExecutorClose(t *testing.T) {
 	ex := NewExecutor(1)
 	var ran atomic.Int32
@@ -181,8 +196,17 @@ func TestExecutorClose(t *testing.T) {
 	if got := ran.Load(); got != 16 {
 		t.Errorf("ran %d tasks before close, want 16", got)
 	}
-	if ok, _ := ex.run(LaneInteractive, time.Time{}, 1, 1, func(int) {}); ok {
-		t.Error("run on closed executor returned true")
+	closed := ex.Stats()
+	defaultBefore := defaultExecutor().Stats().Tasks
+	counts := make([]atomic.Int32, 5)
+	ex.run(LaneInteractive, time.Time{}, 1, len(counts), func(idx int) { counts[idx].Add(1) })
+	for i := range counts {
+		if c := counts[i].Load(); c != 1 {
+			t.Errorf("task %d ran %d times after close, want 1", i, c)
+		}
+	}
+	if got := defaultExecutor().Stats().Tasks - defaultBefore; got < uint64(len(counts)) {
+		t.Errorf("default executor took %d tasks, want ≥ %d", got, len(counts))
 	}
 
 	g, err := gen.Spec{Kind: "er", N: 200, AvgDeg: 4, Seed: 1}.Build()
@@ -199,8 +223,11 @@ func TestExecutorClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("solve with closed executor: %v", err)
 	}
-	if !got.Best.Equal(want.Best) {
-		t.Errorf("closed-executor fallback %v != private %v", got.Best, want.Best)
+	if !got.Best.Equal(want.Best) || got.Best.Willingness != want.Best.Willingness {
+		t.Errorf("closed-executor solve %v != default %v", got.Best, want.Best)
+	}
+	if st := ex.Stats(); st != closed {
+		t.Errorf("closed executor's Stats moved: %+v -> %+v", closed, st)
 	}
 }
 
@@ -231,11 +258,7 @@ func TestExecutorLaneIsolation(t *testing.T) {
 	}
 
 	var interDone atomic.Int32
-	if ok, _ := ex.run(LaneInteractive, time.Time{}, 2, 8, func(int) {
-		interDone.Add(1)
-	}); !ok {
-		t.Fatal("interactive run on open executor returned false")
-	}
+	ex.run(LaneInteractive, time.Time{}, 2, 8, func(int) { interDone.Add(1) })
 	if got := interDone.Load(); got != 8 {
 		t.Errorf("interactive job ran %d/8 tasks", got)
 	}
@@ -317,22 +340,17 @@ func TestExecutorDeadlineDrop(t *testing.T) {
 	}
 
 	var ran atomic.Int32
-	resCh := make(chan [2]bool, 1)
+	resCh := make(chan bool, 1)
 	go func() {
-		ok, expired := ex.run(LaneInteractive, time.Now().Add(5*time.Millisecond), 1, 7,
+		resCh <- ex.run(LaneInteractive, time.Now().Add(5*time.Millisecond), 1, 7,
 			func(int) { ran.Add(1) })
-		resCh <- [2]bool{ok, expired}
 	}()
 	// Let the deadline lapse while the job is still queued, then free the
 	// worker.
 	time.Sleep(20 * time.Millisecond)
 	close(gate)
 	<-blockerDone
-	res := <-resCh
-	if !res[0] {
-		t.Error("run on open executor returned ok=false")
-	}
-	if !res[1] {
+	if !<-resCh {
 		t.Error("expired job: run returned expired=false")
 	}
 	if got := ran.Load(); got != 0 {
@@ -348,9 +366,9 @@ func TestExecutorDeadlineDrop(t *testing.T) {
 
 	// A job whose deadline is in the future runs normally.
 	var okRan atomic.Int32
-	if ok, expired := ex.run(LaneInteractive, time.Now().Add(time.Minute), 1, 3,
-		func(int) { okRan.Add(1) }); !ok || expired {
-		t.Errorf("future-deadline job: ok=%v expired=%v", ok, expired)
+	if expired := ex.run(LaneInteractive, time.Now().Add(time.Minute), 1, 3,
+		func(int) { okRan.Add(1) }); expired {
+		t.Error("future-deadline job: run returned expired=true")
 	}
 	if okRan.Load() != 3 {
 		t.Errorf("future-deadline job ran %d/3 tasks", okRan.Load())
@@ -367,23 +385,21 @@ func TestExecutorDeadlineDropMidJob(t *testing.T) {
 	var ran atomic.Int32
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	resCh := make(chan [2]bool, 1)
+	resCh := make(chan bool, 1)
 	go func() {
-		ok, expired := ex.run(LaneInteractive, time.Now().Add(25*time.Millisecond), 1, 5, func(idx int) {
+		resCh <- ex.run(LaneInteractive, time.Now().Add(25*time.Millisecond), 1, 5, func(idx int) {
 			ran.Add(1)
 			if idx == 0 {
 				close(started)
 				<-gate // outlive the deadline so the rest of the queue expires
 			}
 		})
-		resCh <- [2]bool{ok, expired}
 	}()
 	<-started
 	time.Sleep(50 * time.Millisecond) // let the deadline lapse mid-job
 	close(gate)
-	res := <-resCh
-	if !res[0] || !res[1] {
-		t.Errorf("mid-job expiry: ok=%v expired=%v, want true, true", res[0], res[1])
+	if !<-resCh {
+		t.Error("mid-job expiry: run returned expired=false")
 	}
 	if got := ran.Load(); got != 1 {
 		t.Errorf("ran %d tasks, want only the in-flight one", got)
@@ -398,9 +414,10 @@ func TestExecutorDeadlineDropMidJob(t *testing.T) {
 }
 
 // TestExecutorCloseRace: Close racing concurrent run submissions and Stats
-// calls neither deadlocks nor loses work — every run either completes all
-// its tasks (ok=true) or reports ok=false having run none of them. Run
-// with -race.
+// calls neither deadlocks nor loses work — every run executes each of its
+// tasks exactly once, on the executor if it won the race and on the
+// package default if it lost — and once closed, the executor's Stats stop
+// moving. Run with -race.
 func TestExecutorCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		ex := NewExecutor(2)
@@ -409,12 +426,12 @@ func TestExecutorCloseRace(t *testing.T) {
 			wg.Add(1)
 			go func(lane Lane) {
 				defer wg.Done()
-				var ran atomic.Int32
-				ok, _ := ex.run(lane, time.Time{}, 2, 3, func(int) { ran.Add(1) })
-				if got := ran.Load(); ok && got != 3 {
-					t.Errorf("accepted run completed %d/3 tasks", got)
-				} else if !ok && got != 0 {
-					t.Errorf("rejected run executed %d tasks", got)
+				counts := make([]atomic.Int32, 3)
+				ex.run(lane, time.Time{}, 2, len(counts), func(idx int) { counts[idx].Add(1) })
+				for i := range counts {
+					if c := counts[i].Load(); c != 1 {
+						t.Errorf("task %d ran %d times", i, c)
+					}
 				}
 			}(Lane(s % int(NumLanes)))
 		}
@@ -425,5 +442,13 @@ func TestExecutorCloseRace(t *testing.T) {
 		go func() { defer wg.Done(); _ = ex.Stats() }()
 		wg.Wait()
 		ex.Close() // triple close after the dust settles
+		closed := ex.Stats()
+		if closed.Tasks > 8*3 || closed.TasksQueued != 0 || closed.TasksInFlight != 0 || closed.JobsActive != 0 {
+			t.Errorf("closed executor snapshot %+v, want ≤ 24 tasks and no backlog", closed)
+		}
+		ex.run(LaneInteractive, time.Time{}, 2, 3, func(int) {})
+		if st := ex.Stats(); st != closed {
+			t.Errorf("closed executor's Stats moved: %+v -> %+v", closed, st)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"waso/internal/core"
@@ -12,7 +11,7 @@ import (
 
 // TestWorkerCountInvariance is the property guarding the shared-incumbent
 // argument, checked per registered objective: for every randomized solver,
-// Report.Best must be bit-identical across workers ∈ {1, 2, 4, GOMAXPROCS}
+// Report.Best must be bit-identical across workers ∈ {1, 2, 4, 0 (no cap)}
 // and with pruning force-disabled, over ≥ 20 seeds. Cross-start pruning
 // only ever abandons growths whose upper bound cannot beat a completed
 // candidate, so neither the worker schedule (which decides how fast the
@@ -21,12 +20,13 @@ import (
 // are covered too: the plan depends only on (graph scale, K), never on the
 // worker count, so the invariance must survive its budget overrides.
 //
-// GOMAXPROCS is raised to 4 for the duration so the worker counts are not
-// clamped to 1 on single-core runners and the schedules genuinely differ.
+// The solves run on an attached 4-worker executor, so the worker counts
+// are not limited by the host's core count and the schedules genuinely
+// differ; its task counter proves they ran there.
 func TestWorkerCountInvariance(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	ctx := context.Background()
+	ex := NewExecutor(4)
+	defer ex.Close()
+	ctx := WithExecutor(context.Background(), ex)
 
 	const seeds = 20
 	graphs := make([]*graph.Graph, seeds)
@@ -50,7 +50,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed=%d workers=1: %v", s.Name(), seed, err)
 					}
-					for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+					for _, workers := range []int{2, 4, 0} {
 						r := base
 						r.Workers = workers
 						rep, err := s.Solve(ctx, g, r)
@@ -85,5 +85,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ex.Stats().Tasks == 0 {
+		t.Error("attached executor saw no tasks — solves ran on the default pool")
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"waso/internal/graph"
 )
 
-// WorkspacePool recycles per-worker solver workspaces — the O(n) scratch
-// state (bitsets, frontier slots, Fenwick tree) every worker needs — across
-// Solve calls against one graph. A long-lived caller that solves many
+// WorkspacePool recycles solver workspaces — the O(n) scratch state
+// (bitsets, frontier slots, Fenwick tree) every task needs — across tasks
+// and Solve calls against one graph. A long-lived caller that solves many
 // requests against the same resident graph (the wasod serving path) keeps
-// one pool per graph and attaches it with WithWorkspacePool; workers then
+// one pool per graph and attaches it with WithWorkspacePool; tasks then
 // draw warm buffers instead of allocating O(n) per request. Safe for
 // concurrent use; a pooled workspace is re-parameterized per request
 // (k, alpha, sampler backend), so requests with different tuning share the
@@ -29,11 +29,16 @@ type WorkspacePool struct {
 // NewWorkspacePool returns an empty pool of workspaces for g. Pooled
 // workspaces are allocated at full graph capacity so they can serve both
 // whole-graph tasks and any region task (regions never exceed the graph).
-func NewWorkspacePool(g *graph.Graph) *WorkspacePool {
+func NewWorkspacePool(g *graph.Graph) *WorkspacePool { return newWorkspacePool(g, g.N()) }
+
+// newWorkspacePool returns a pool whose workspaces hold capacity nodes —
+// the solve-local pool of a Solve whose context carries none, sized to the
+// largest substrate that solve binds.
+func newWorkspacePool(g *graph.Graph, capacity int) *WorkspacePool {
 	wp := &WorkspacePool{g: g}
 	wp.pool.New = func() any {
 		wp.allocs.Add(1)
-		return newWorkspace(g.N())
+		return newWorkspace(capacity)
 	}
 	return wp
 }
@@ -55,11 +60,13 @@ func (wp *WorkspacePool) Stats() WorkspacePoolStats {
 // Graph returns the graph this pool allocates workspaces for.
 func (wp *WorkspacePool) Graph() *graph.Graph { return wp.g }
 
-// get returns a workspace configured for req. The caller must put it back.
-func (wp *WorkspacePool) get(req core.Request, topSum []float64, useFen bool) *workspace {
+// get returns a workspace configured for req and sharing the solve's
+// incumbent. The caller must put it back.
+func (wp *WorkspacePool) get(req core.Request, topSum []float64, useFen bool, inc *incumbent) *workspace {
 	wp.gets.Add(1)
 	ws := wp.pool.Get().(*workspace)
 	ws.configure(req, topSum, useFen)
+	ws.inc = inc
 	return ws
 }
 
@@ -81,8 +88,8 @@ func (wp *WorkspacePool) put(ws *workspace) {
 type poolCtxKey struct{}
 
 // WithWorkspacePool returns a context carrying wp. A Solve whose context
-// carries a pool for the same graph draws worker workspaces from it instead
-// of allocating fresh ones — the mechanism the service layer uses to stop
+// carries a pool for the same graph draws task workspaces from it instead
+// of from a solve-local pool — the mechanism the service layer uses to stop
 // per-request O(n) allocation.
 func WithWorkspacePool(ctx context.Context, wp *WorkspacePool) context.Context {
 	return context.WithValue(ctx, poolCtxKey{}, wp)

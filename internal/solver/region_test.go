@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"waso/internal/core"
@@ -28,16 +27,17 @@ func erInstance(t testing.TB, n int, avgDeg float64, seed uint64) *graph.Graph {
 // TestRegionEquivalence is the property the tentpole stands on, checked per
 // registered objective: for every solver, Report.Best (node set AND
 // willingness bits) and SamplesDrawn are identical between region mode and
-// whole-graph mode, across 20 seeds and workers ∈ {1, 4}. Graph shapes
+// whole-graph mode, across 20 seeds and workers ∈ {1, 4} on an attached
+// 4-worker executor. Graph shapes
 // alternate between sparse ER (balls ≪ component: real remapping,
 // fragmented components, isolated starts) and power-law (balls =
 // component), and k alternates so radii vary. Region extraction copies an
 // objective's fused slabs into the compact instance, so a per-objective
 // run is the only thing that catches a slab/remap mismatch.
 func TestRegionEquivalence(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	ctx := context.Background()
+	ex := NewExecutor(4)
+	defer ex.Close()
+	ctx := WithExecutor(context.Background(), ex)
 
 	const seeds = 20
 	for _, objName := range objective.Names() {

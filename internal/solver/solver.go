@@ -28,8 +28,8 @@
 //
 // Every solver runs the same deterministic multi-start driver. The top
 // Request.Starts nodes by bound score each get an independent search, and the
-// sample budget is decomposed into (start, sample-chunk) tasks fed to a
-// worker pool, so cores stay busy even when starts < workers or one start
+// sample budget is decomposed into (start, sample-chunk) tasks run on an
+// Executor, so cores stay busy even when starts < workers or one start
 // dominates the work. Every random draw derives from rng.Split sub-streams
 // labelled (start index, sample index) — fixed at task-construction time —
 // and per-task outcomes are reduced in task order, so Report.Best depends
@@ -46,18 +46,20 @@
 // however, depends on how fast the incumbent rises on a given schedule, so
 // Report.Pruned is an advisory counter (see core.Report).
 //
+// There is one execution path. Every Solve runs its tasks on an Executor:
+// the one its context carries (WithExecutor), else a package default of
+// GOMAXPROCS workers started on first use, so solver goroutines stay
+// bounded by the executors' sizes however many solves are in flight. Each
+// task takes its scratch workspace from a WorkspacePool: the one attached
+// via WithWorkspacePool, else one local to the solve.
+//
 // Solve is context-aware: cancellation and deadlines are observed between
 // tasks and between samples, and a cancelled Solve returns ctx.Err()
 // without leaking goroutines. Long-lived callers that solve many requests
 // against the same (graph, objective) can precompute the ranking once with
 // NewPrep and attach it via WithPrep — Solve picks it up from the context
-// and skips the per-call ranking pass — and can recycle per-worker scratch
-// buffers across calls with a WorkspacePool attached via
-// WithWorkspacePool. A process serving many concurrent solves additionally
-// attaches one shared Executor (WithExecutor): every Solve then schedules
-// its tasks on that bounded pool instead of spawning a private one, so
-// total solver goroutines never exceed the pool size regardless of how
-// many requests are in flight.
+// and skips the per-call ranking pass — and can recycle workspaces across
+// calls with a per-graph WorkspacePool.
 //
 // CBAS and CBASND schedule the deterministic greedy completion of every
 // start ahead of all sampling, so the shared incumbent starts at the best
@@ -71,7 +73,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -544,19 +545,18 @@ type outcome struct {
 type chunkRunner func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream, req core.Request) outcome
 
 // multiStart is the shared parallel driver: it decomposes the per-start
-// sample budget into (start, sample-chunk) tasks, fans them over a worker
-// pool (one reusable workspace per worker, drawn from a context-attached
-// WorkspacePool when available), and reduces per-task outcomes in task
-// order. budget is the per-start sample count (0 for deterministic
-// solvers); warm runs the greedy completion at the head of each start's
-// first chunk.
+// sample budget into (start, sample-chunk) tasks, runs them as one job on
+// an Executor (each task on a workspace drawn from a WorkspacePool), and
+// reduces per-task outcomes in task order. budget is the per-start sample
+// count (0 for deterministic solvers); warm schedules each start's greedy
+// completion ahead of all sampling.
 //
 // Report.Best is schedule-independent: every sample's growth is a pure
 // function of its sub-stream, and the shared incumbent only ever prunes
 // growths that provably cannot beat a completed candidate. Report.Pruned is
 // advisory — it depends on how fast the incumbent rises under a given
-// schedule. When ctx is cancelled or its deadline passes, workers stop
-// between tasks and between samples, every goroutine exits, and the call
+// schedule. When ctx is cancelled or its deadline passes, tasks stop
+// between samples, the remaining ones drain as no-ops, and the call
 // returns ctx.Err().
 func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Request, budget int, warm bool, run chunkRunner) (core.Report, error) {
 	began := time.Now() //lint:allow determinism(advisory Report.Elapsed timing; never read by the search)
@@ -605,8 +605,8 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	// Locality: fetch or extract one (K−1)-hop region per start. regions
 	// is nil when region mode is off or not worthwhile; individual entries
 	// are nil for starts whose ball exceeded the extraction cap (those
-	// tasks run on the whole graph). wsCap sizes fresh worker workspaces:
-	// O(max region) when every start has a region, O(n) otherwise.
+	// tasks run on the whole graph). wsCap sizes a solve-local workspace
+	// pool: O(max region) when every start has a region, O(n) otherwise.
 	regions, wsCap := planRegions(ctx, b, starts, req)
 	global := bindingSubstrate(b)
 
@@ -645,24 +645,27 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	outcomes := make([]outcome, len(tasks))
 	inc := newIncumbent()
 
-	// Workers is scheduling-only (results are schedule-independent), so a
-	// wire-supplied value is clamped to GOMAXPROCS: more goroutines than
-	// cores buys nothing and each worker carries an O(n) workspace.
-	workers := req.Workers
-	if maxProcs := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxProcs {
-		workers = maxProcs
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	// Tasks of many solves interleave on one executor worker, so workspaces
+	// are per task, not per worker: drawn from the context's per-graph pool,
+	// else from a solve-local one sized to the planned regions.
 	pool := workspacePoolFor(ctx, g)
-
-	// execTask binds the task's substrate — this start's compact region when
-	// one exists, the whole graph otherwise (growth is bit-identical either
-	// way, see graph.Region; only the memory footprint changes) — and runs
-	// it, recording the outcome in task order.
-	execTask := func(ws *workspace, idx int) {
+	if pool == nil {
+		pool = newWorkspacePool(g, wsCap)
+	}
+	// Every task runs on an Executor — the context's, else the package
+	// default — with Request.Workers as the solve's parallelism cap. Each
+	// task binds its substrate: this start's compact region when one
+	// exists, the whole graph otherwise (growth is bit-identical either
+	// way, see graph.Region; only the memory footprint changes). Outcomes
+	// land in task order, so Report.Best is schedule-independent.
+	deadline, _ := ctx.Deadline()
+	expired := executorFor(ctx).run(LaneFor(ctx), deadline, req.Workers, len(tasks), func(idx int) {
+		if ctx.Err() != nil {
+			return // cancelled solve: drain remaining tasks as no-ops
+		}
 		t := tasks[idx]
+		ws := pool.get(req, topSum, useFen, inc)
+		defer pool.put(ws)
 		start := starts[t.startIdx]
 		if regions != nil && regions[t.startIdx] != nil {
 			r := regions[t.startIdx]
@@ -672,97 +675,12 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 			ws.bindGraph(global)
 		}
 		outcomes[idx] = run(ctx, ws, t, start, root, req)
-	}
-
-	// A context-attached Executor (the serving path) schedules the tasks on
-	// the process-wide shared pool — total solver goroutines stay bounded no
-	// matter how many solves are in flight — with this solve's clamped
-	// Workers as its parallelism cap. Otherwise (or when the executor has
-	// been closed) the solve spawns its own private pool, the library
-	// default. Both paths reduce outcomes in task order, so Report.Best is
-	// identical between them.
-	ranShared := false
-	if ex := executorFor(ctx); ex != nil {
-		// Tasks from many solves interleave on one executor worker, so
-		// workspaces are per task, not per worker: drawn from the shared
-		// per-graph pool when one is attached, else from a solve-local
-		// free list that allocates at most maxParallel workspaces.
-		var freeMu sync.Mutex
-		var free []*workspace
-		acquire := func() *workspace {
-			if pool != nil {
-				ws := pool.get(req, topSum, useFen)
-				ws.inc = inc
-				return ws
-			}
-			freeMu.Lock()
-			if n := len(free); n > 0 {
-				ws := free[n-1]
-				free = free[:n-1]
-				freeMu.Unlock()
-				return ws
-			}
-			freeMu.Unlock()
-			ws := newWorkspace(wsCap)
-			ws.configure(req, topSum, useFen)
-			ws.inc = inc
-			return ws
-		}
-		release := func(ws *workspace) {
-			if pool != nil {
-				pool.put(ws)
-				return
-			}
-			freeMu.Lock()
-			free = append(free, ws)
-			freeMu.Unlock()
-		}
-		deadline, _ := ctx.Deadline()
-		var expired bool
-		ranShared, expired = ex.run(LaneFor(ctx), deadline, workers, len(tasks), func(idx int) {
-			if ctx.Err() != nil {
-				return // cancelled solve: drain remaining tasks as no-ops
-			}
-			ws := acquire()
-			execTask(ws, idx)
-			release(ws)
-		})
-		if expired && ctx.Err() == nil {
-			// The executor dropped tasks because the deadline passed at
-			// dequeue; the context's own timer may not have fired yet, so
-			// report the timeout deterministically rather than racing it.
-			return core.Report{}, context.DeadlineExceeded
-		}
-	}
-	if !ranShared {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var ws *workspace
-				if pool != nil {
-					ws = pool.get(req, topSum, useFen)
-					defer pool.put(ws)
-				} else {
-					ws = newWorkspace(wsCap)
-					ws.configure(req, topSum, useFen)
-				}
-				ws.inc = inc
-				for idx := range idxCh {
-					if ctx.Err() != nil {
-						continue // drain without working so the feeder never blocks
-					}
-					execTask(ws, idx)
-				}
-			}()
-		}
-		for idx := range tasks {
-			idxCh <- idx
-		}
-		close(idxCh)
-		wg.Wait()
+	})
+	if expired && ctx.Err() == nil {
+		// The executor dropped tasks because the deadline passed at
+		// dequeue; the context's own timer may not have fired yet, so
+		// report the timeout deterministically rather than racing it.
+		return core.Report{}, context.DeadlineExceeded
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Report{}, err

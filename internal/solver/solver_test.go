@@ -335,9 +335,13 @@ func TestErrorsAndRegistry(t *testing.T) {
 }
 
 // TestCancelledContext: a Solve with an already-cancelled context returns
-// ctx.Err() promptly and leaks no goroutines.
+// ctx.Err() promptly and leaks no goroutines, and a Solve cancelled while
+// it runs on the default executor drains its job from the queue.
 func TestCancelledContext(t *testing.T) {
 	g := powerlawInstance(t, 500, 13)
+	// The default executor's fixed pool lives for the process; start it
+	// before the baseline so it is not counted as a leak.
+	ex := defaultExecutor()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -354,6 +358,24 @@ func TestCancelledContext(t *testing.T) {
 			t.Errorf("%s: cancelled solve took %v, want prompt return", s.Name(), d)
 		}
 	}
+
+	running, cancelRunning := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := (CBASND{}).Solve(running, g, req(10, func(r *core.Request) { r.Samples = 1 << 20; r.Prune = false }))
+		errCh <- err
+	}()
+	for ex.Stats().TasksInFlight == 0 && len(errCh) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelRunning()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Errorf("solve cancelled mid-run: err = %v, want context.Canceled", err)
+	}
+	if st := ex.Stats(); st.JobsActive != 0 || st.TasksQueued != 0 {
+		t.Errorf("cancelled job left the default executor backlogged: %+v", st)
+	}
+
 	// Goroutine bracketing: allow the runtime a moment to settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
