@@ -63,8 +63,11 @@ func Encode(w io.Writer, g *Graph) error {
 }
 
 // Decode reads a graph written by Encode and validates it. Truncated or
-// corrupt input returns an error; hostile length fields cannot force large
-// allocations because arrays are read in bounded chunks.
+// corrupt input returns an error. A hostile length field cannot force a
+// large allocation: each array grows by doubling as its bytes arrive, so
+// memory is committed at most ~2× as fast as input bytes arrive, and the
+// decoded arrays are exact-size. Reading, validating and fusing each cost
+// one O(n + nnz) pass.
 func Decode(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -111,14 +114,6 @@ func Decode(r io.Reader) (*Graph, error) {
 	if g.wIn, err = readFloats(br, nnz, "in-weights"); err != nil {
 		return nil, err
 	}
-	if len(g.off) == 0 || g.off[len(g.off)-1] != int64(nnz) {
-		return nil, fmt.Errorf("graph: offsets inconsistent with %d adjacency entries", nnz)
-	}
-	for i := 1; i < len(g.off); i++ {
-		if g.off[i] < g.off[i-1] {
-			return nil, fmt.Errorf("graph: offsets not monotone at node %d", i-1)
-		}
-	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: decoded graph invalid: %w", err)
 	}
@@ -127,67 +122,60 @@ func Decode(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// chunkElems bounds per-read allocations so a hostile header cannot force a
-// huge up-front allocation: memory is committed only as bytes arrive.
+// chunkElems is the most elements one read takes.
 const chunkElems = 1 << 16
 
-// readChunked reads count elements of size elemSize, appending decoded
-// chunks via emit. It allocates at most chunkElems elements per read, and
-// no more than the payload actually needs.
-func readChunked(r io.Reader, count uint64, elemSize int, field string, emit func(chunk []byte)) error {
-	buf := make([]byte, int(min(count, chunkElems))*elemSize)
-	for count > 0 {
-		elems := count
-		if elems > chunkElems {
-			elems = chunkElems
-		}
-		chunk := buf[:int(elems)*elemSize]
+// readArray reads count little-endian elements of elemSize bytes each, a
+// chunk of at most chunkElems at a time, decoding each chunk into its slot
+// of the result with dec (len(dst)·elemSize == len(src)). The result
+// starts with one chunk's capacity and doubles, capped at count, only
+// after a chunk that does not fit has arrived. So a hostile count cannot
+// force a large allocation, memory is committed at most ~2× as fast as
+// bytes arrive (plus the chunk buffer), each element is copied O(1) times,
+// and a complete array has cap == len == count.
+func readArray[T any](r io.Reader, count uint64, elemSize int, field string, dec func(dst []T, src []byte)) ([]T, error) {
+	out := make([]T, 0, min(count, chunkElems))
+	buf := make([]byte, cap(out)*elemSize)
+	for rem := count; rem > 0; {
+		k := int(min(rem, chunkElems))
+		chunk := buf[:k*elemSize]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			return fmt.Errorf("graph: decode %s: %w", field, noEOF(err))
+			return nil, fmt.Errorf("graph: decode %s: %w", field, noEOF(err))
 		}
-		emit(chunk)
-		count -= elems
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(2*uint64(cap(out)), count))
+			copy(grown, out)
+			out = grown
+		}
+		out = out[:len(out)+k]
+		dec(out[len(out)-k:], chunk)
+		rem -= uint64(k)
 	}
-	return nil
+	return out, nil
 }
 
 func readFloats(r io.Reader, count uint64, field string) ([]float64, error) {
-	out := make([]float64, 0, min(count, chunkElems))
-	err := readChunked(r, count, 8, field, func(chunk []byte) {
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+	return readArray(r, count, 8, field, func(dst []float64, src []byte) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func readInt64s(r io.Reader, count uint64, field string) ([]int64, error) {
-	out := make([]int64, 0, min(count, chunkElems))
-	err := readChunked(r, count, 8, field, func(chunk []byte) {
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			out = append(out, int64(binary.LittleEndian.Uint64(chunk[i:])))
+	return readArray(r, count, 8, field, func(dst []int64, src []byte) {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func readInt32s(r io.Reader, count uint64, field string) ([]int32, error) {
-	out := make([]int32, 0, min(count, chunkElems))
-	err := readChunked(r, count, 4, field, func(chunk []byte) {
-		for i := 0; i+4 <= len(chunk); i += 4 {
-			out = append(out, int32(binary.LittleEndian.Uint32(chunk[i:])))
+	return readArray(r, count, 4, field, func(dst []int32, src []byte) {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a fixed-layout decode,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,7 @@ func roundTrip(t *testing.T, g *Graph) *Graph {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
+	checkExactSize(t, out)
 	return out
 }
 
@@ -147,6 +149,69 @@ func TestCodecCorrupt(t *testing.T) {
 		wOutOff := nbrOff + 8*4
 		binary.LittleEndian.PutUint64(b[wOutOff:], math.Float64bits(42))
 	})
+}
+
+// checkExactSize fails unless every array of g has cap == len, so that
+// ResidentBytes, a sum of lengths, is the arrays' true footprint.
+func checkExactSize(t *testing.T, g *Graph) {
+	t.Helper()
+	arrays := []struct {
+		name     string
+		len, cap int
+	}{
+		{"interest", len(g.interest), cap(g.interest)},
+		{"off", len(g.off), cap(g.off)},
+		{"nbr", len(g.nbr), cap(g.nbr)},
+		{"wOut", len(g.wOut), cap(g.wOut)},
+		{"wIn", len(g.wIn), cap(g.wIn)},
+		{"wSum", len(g.wSum), cap(g.wSum)},
+	}
+	for _, a := range arrays {
+		if a.cap != a.len {
+			t.Errorf("%s: cap %d, len %d", a.name, a.cap, a.len)
+		}
+	}
+}
+
+// TestCodecRoundTripMultiChunk: arrays longer than one read chunk grow
+// while they are read, and still decode identical and exact-size.
+func TestCodecRoundTripMultiChunk(t *testing.T) {
+	n := chunkElems + 5 // interest, offsets and adjacency all span chunks
+	ring := make([][2]NodeID, n)
+	for i := range ring {
+		ring[i] = [2]NodeID{NodeID(i), NodeID((i + 1) % n)}
+	}
+	g, err := FromEdgeList(n, nil, ring, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, roundTrip(t, g)) {
+		t.Fatal("round trip not identity")
+	}
+}
+
+// TestCodecHostileCountAllocation: a header claiming 2^30 adjacency
+// entries, followed by only 1 MiB of them, is rejected after committing
+// memory in proportion to the bytes that arrived, not to the claim.
+func TestCodecHostileCountAllocation(t *testing.T) {
+	blob := append([]byte(nil), codecMagic[:]...)
+	blob = binary.LittleEndian.AppendUint32(blob, codecVersion)
+	blob = binary.LittleEndian.AppendUint64(blob, 0)     // n
+	blob = binary.LittleEndian.AppendUint64(blob, 1<<30) // nnz
+	blob = binary.LittleEndian.AppendUint64(blob, 0)     // off[0]
+	blob = append(blob, make([]byte, 1<<20)...)          // adjacency, cut short
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated hostile stream decoded without error")
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("allocated %.2f MiB", alloc)
+	if alloc >= 3 {
+		t.Fatalf("decoding 1 MiB of claimed adjacency allocated %.2f MiB, want < 3", alloc)
+	}
 }
 
 func TestReadEdgeListJSON(t *testing.T) {

@@ -23,7 +23,8 @@ func encodeSeed(t *testing.F, n int, interest []float64, edges [][2]NodeID, tau 
 // an error — never a panic, an unbounded allocation, or an invalid Graph —
 // on corrupt input, and any accepted graph must be an encoding fixed
 // point: re-encoding what Decode produced and decoding again yields
-// byte-identical output.
+// byte-identical output. Validate is Decode's own acceptance check, so an
+// accepted graph is re-checked by the independent validateByLookup.
 func FuzzDecode(f *testing.F) {
 	path := encodeSeed(f, 4,
 		[]float64{0.5, 1, 0, 2},
@@ -56,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejection is the contract for corrupt input
 		}
-		if err := g.Validate(); err != nil {
+		if err := validateByLookup(g); err != nil {
 			t.Fatalf("Decode accepted an invalid graph: %v", err)
 		}
 		var first bytes.Buffer

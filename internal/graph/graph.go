@@ -46,8 +46,9 @@ type Graph struct {
 	wSum     []float64 // wOut[p] + wIn[p], the fused hot-path weight
 }
 
-// fuse (re)derives the fused weight array from the directed weights. Every
-// construction path (Builder.Build, codec Decode) calls it exactly once.
+// fuse derives the fused weight array from the directed weights, once per
+// Builder.Build or codec Decode. ApplyMutations instead copies the old
+// graph's fused weights for unchanged rows and adds up only edited ones.
 func (g *Graph) fuse() {
 	g.wSum = make([]float64, len(g.nbr))
 	for p := range g.nbr {
@@ -254,9 +255,23 @@ func (g *Graph) WithoutNodes(drop []NodeID) (*Graph, []NodeID) {
 	return g.Subgraph(keep)
 }
 
-// Validate checks structural invariants: sorted unique adjacency, symmetric
-// edge presence, mirrored weights, finite scores. Intended for tests and
-// for data loaded from external files.
+// Validate checks structural invariants: monotone offsets, sorted unique
+// adjacency, symmetric edge presence, mirrored weights, finite scores. It
+// is the codec's acceptance check for data loaded from external files.
+//
+// It costs O(n + nnz): one pass over the offsets, then one ascending sweep
+// over the rows with a cursor next[u] per row, starting at off[u]. Rows
+// are visited in ascending i, so a row u's entries below u are claimed in
+// the order a sorted row stores them:
+//
+//   - an entry (i, u) with u > i must find i, with the two weights
+//     swapped, at next[u], which then advances;
+//   - on reaching row i, every claim on it has been made, so next[i] must
+//     not have run past the row's end, and an entry (i, u) with u < i must
+//     lie below next[i] (row u claimed it).
+//
+// Every entry is then either claimed by its mirror or has claimed it, so
+// each edge is present in both rows with the weights swapped.
 func (g *Graph) Validate() error {
 	n := NodeID(g.N())
 	if len(g.off) != g.N()+1 || g.off[0] != 0 || g.off[g.N()] != int64(len(g.nbr)) {
@@ -270,28 +285,50 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: non-finite interest score")
 		}
 	}
+	// Monotone offsets keep every cursor inside the adjacency arrays.
+	next := make([]int64, n)
+	for i := range next {
+		if g.off[i+1] < g.off[i] {
+			return fmt.Errorf("graph: offsets not monotone at node %d", i)
+		}
+		next[i] = g.off[i]
+	}
+	nbr, wOut, wIn := g.nbr, g.wOut, g.wIn
+	end := int64(len(nbr))
 	for i := NodeID(0); i < n; i++ {
-		nbrs, tauOut, tauIn := g.Edges(i)
-		for p, u := range nbrs {
+		lo, hi := g.off[i], g.off[i+1]
+		if next[i] > hi {
+			return fmt.Errorf("graph: an edge to node %d is not mirrored", i)
+		}
+		for p := lo; p < hi; p++ {
+			u := nbr[p]
 			if u < 0 || u >= n {
 				return fmt.Errorf("graph: neighbor %d of node %d out of range", u, i)
 			}
 			if u == i {
 				return fmt.Errorf("graph: self-loop at node %d", i)
 			}
-			if p > 0 && nbrs[p-1] >= u {
+			if p > lo && nbr[p-1] >= u {
 				return fmt.Errorf("graph: adjacency of node %d not sorted/unique", i)
 			}
-			if math.IsNaN(tauOut[p]) || math.IsInf(tauOut[p], 0) || math.IsNaN(tauIn[p]) || math.IsInf(tauIn[p], 0) {
+			out, in := wOut[p], wIn[p]
+			if math.IsNaN(out) || math.IsInf(out, 0) || math.IsNaN(in) || math.IsInf(in, 0) {
 				return fmt.Errorf("graph: non-finite tightness on edge {%d,%d}", i, u)
 			}
-			ro, ri, ok := g.Tau(u, i)
-			if !ok {
+			if u < i {
+				if p >= next[i] {
+					return fmt.Errorf("graph: edge {%d,%d} not mirrored", i, u)
+				}
+				continue
+			}
+			q := next[u]
+			if q == end || nbr[q] != i {
 				return fmt.Errorf("graph: edge {%d,%d} not mirrored", i, u)
 			}
-			if ro != tauIn[p] || ri != tauOut[p] {
+			if wOut[q] != in || wIn[q] != out {
 				return fmt.Errorf("graph: weights of edge {%d,%d} not mirrored", i, u)
 			}
+			next[u]++
 		}
 	}
 	return nil

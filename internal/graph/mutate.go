@@ -244,10 +244,15 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 		}
 		touched = append(touched, k.lo, k.hi)
 	}
-	for _, re := range editedNodesEdits(rowEdits, editedNodes) {
+	// The rebuild walks the edited rows in ascending node order.
+	slices.Sort(editedNodes)
+	var grow int64 // net adjacency entries the batch adds
+	for _, v := range editedNodes {
+		re := rowEdits[v]
 		slices.SortFunc(re.adds, func(a, b adjEdit) int { return int(a.nbr - b.nbr) })
 		slices.Sort(re.dels)
 		slices.SortFunc(re.sets, func(a, b adjEdit) int { return int(a.nbr - b.nbr) })
+		grow += int64(len(re.adds) - len(re.dels))
 	}
 
 	// New interest array: copy, apply overrides, append new nodes.
@@ -264,45 +269,49 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 		touched = append(touched, NodeID(oldN+i))
 	}
 
-	// Rebuild the CSR: unchanged rows copy wholesale, edited rows merge
-	// their sorted edit lists against the old row.
+	// Rebuild the CSR in one walk over the edited rows. Each run of
+	// unchanged rows between two edited ones is copied with one copy per
+	// array, the old fused weights included, and its offsets are shifted
+	// by the entries the batch added or removed before it. An edited row
+	// merges its sorted edit lists against its old row, and only its fused
+	// weights are derived afresh.
+	total := int64(len(g.nbr)) + grow
 	off := make([]int64, curN+1)
-	for i := 0; i < curN; i++ {
-		var d int64
-		if i < oldN {
-			d = g.off[i+1] - g.off[i]
-		}
-		if re := rowEdits[NodeID(i)]; re != nil {
-			d += int64(len(re.adds) - len(re.dels))
-		}
-		off[i+1] = off[i] + d
-	}
-	total := off[curN]
 	nbr := make([]NodeID, total)
 	wOut := make([]float64, total)
 	wIn := make([]float64, total)
-	for i := 0; i < curN; i++ {
-		p := off[i]
-		re := rowEdits[NodeID(i)]
-		if re == nil {
-			if i < oldN {
-				lo, hi := g.off[i], g.off[i+1]
-				copy(nbr[p:], g.nbr[lo:hi])
-				copy(wOut[p:], g.wOut[lo:hi])
-				copy(wIn[p:], g.wIn[lo:hi])
+	wSum := make([]float64, total)
+	copyRows := func(from, to int) { // lays out the unchanged rows [from, to)
+		if old := min(to, oldN); from < old {
+			lo, hi, at := g.off[from], g.off[old], off[from]
+			copy(nbr[at:], g.nbr[lo:hi])
+			copy(wOut[at:], g.wOut[lo:hi])
+			copy(wIn[at:], g.wIn[lo:hi])
+			copy(wSum[at:], g.wSum[lo:hi])
+			for i := from; i < old; i++ {
+				off[i+1] = g.off[i+1] + at - lo
 			}
-			continue
+			from = old
+		}
+		for i := from; i < to; i++ { // appended rows without edges
+			off[i+1] = off[i]
+		}
+	}
+	laid := 0 // rows [0, laid) are laid out
+	for _, v := range editedNodes {
+		copyRows(laid, int(v))
+		re := rowEdits[v]
+		p := off[v]
+		emit := func(n NodeID, out, in float64) {
+			nbr[p], wOut[p], wIn[p], wSum[p] = n, out, in, out+in
+			p++
 		}
 		var oNbrs []NodeID
 		var oOut, oIn []float64
-		if i < oldN {
-			oNbrs, oOut, oIn = g.Edges(NodeID(i))
+		if int(v) < oldN {
+			oNbrs, oOut, oIn = g.Edges(v)
 		}
 		pA, pD, pS := 0, 0, 0
-		emit := func(n NodeID, out, in float64) {
-			nbr[p], wOut[p], wIn[p] = n, out, in
-			p++
-		}
 		for q, u := range oNbrs {
 			for pA < len(re.adds) && re.adds[pA].nbr < u {
 				emit(re.adds[pA].nbr, re.adds[pA].out, re.adds[pA].in)
@@ -322,22 +331,14 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 		for ; pA < len(re.adds); pA++ {
 			emit(re.adds[pA].nbr, re.adds[pA].out, re.adds[pA].in)
 		}
+		off[v+1] = p
+		laid = int(v) + 1
 	}
+	copyRows(laid, curN)
 
-	g2 := &Graph{interest: interest, off: off, nbr: nbr, wOut: wOut, wIn: wIn}
-	g2.fuse()
+	g2 := &Graph{interest: interest, off: off, nbr: nbr, wOut: wOut, wIn: wIn, wSum: wSum}
 	slices.Sort(touched)
 	return g2, dedupe(touched), nil
-}
-
-// editedNodesEdits resolves the edit structs for editedNodes in order —
-// a tiny helper that keeps the sort pass iterating a slice, not a map.
-func editedNodesEdits(rowEdits map[NodeID]*rowEdit, editedNodes []NodeID) []*rowEdit {
-	out := make([]*rowEdit, len(editedNodes))
-	for i, v := range editedNodes {
-		out[i] = rowEdits[v]
-	}
-	return out
 }
 
 // ResidentBytes approximates the in-memory footprint of the graph's arrays

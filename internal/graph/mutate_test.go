@@ -149,8 +149,9 @@ func randomBatch(rng *rand.Rand, ref *refModel) []Mutation {
 // TestApplyMutationsCanonical chains random mutation batches on random
 // graphs and asserts after each batch that the mutated graph is
 // byte-identical under Encode to a fresh Builder construction of the same
-// node/edge set — the invariance the serving layer's "mutated graph solves
-// like a fresh upload" guarantee stands on.
+// node/edge set, with bit-identical fused weights and exact-size arrays —
+// the invariance the serving layer's "mutated graph solves like a fresh
+// upload" guarantee stands on.
 func TestApplyMutationsCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -173,6 +174,19 @@ func TestApplyMutationsCanonical(t *testing.T) {
 				t.Fatalf("trial %d round %d: mutated graph not byte-identical to fresh build (muts=%+v)",
 					trial, round, muts)
 			}
+			// Encode does not carry the fused weights, so compare them too.
+			_, _, gotW, _ := g2.FusedCSR()
+			_, _, wantW, _ := want.FusedCSR()
+			if len(gotW) != len(wantW) {
+				t.Fatalf("trial %d round %d: %d fused weights, want %d", trial, round, len(gotW), len(wantW))
+			}
+			for p := range wantW {
+				if math.Float64bits(gotW[p]) != math.Float64bits(wantW[p]) {
+					t.Fatalf("trial %d round %d: fused weight %d = %v, want %v (muts=%+v)",
+						trial, round, p, gotW[p], wantW[p], muts)
+				}
+			}
+			checkExactSize(t, g2)
 			for i := 1; i < len(touched); i++ {
 				if touched[i] <= touched[i-1] {
 					t.Fatalf("touched not sorted+deduped: %v", touched)
