@@ -10,11 +10,11 @@ import (
 	"waso/internal/graph"
 )
 
-// Layer benchmarks for the graph construction paths a server runs before
-// it can answer: decoding an upload or snapshot, and rebuilding the graph
-// after a write. The instances are the serving benchmark's: regional-mixed
-// serves ER n=200k avgdeg 8, churn-durable writes 4-op batches to ER
-// n=100k avgdeg 8.
+// Layer benchmarks for the graph paths a server runs before it can
+// answer: decoding an upload or snapshot, rebuilding the graph after a
+// write, and finding the cached regions a write reaches. The instances are
+// the serving benchmark's: regional-mixed serves ER n=200k avgdeg 8,
+// churn-durable writes 4-op batches to ER n=100k avgdeg 8.
 
 // erGraph builds the generator's ER instance once per process, so the
 // benchmark framework's repeated calls share it.
@@ -31,8 +31,9 @@ func erGraph(n int) func() *graph.Graph {
 var (
 	er200k = erGraph(200_000)
 	er100k = erGraph(100_000)
-	// sink keeps each measured call's result live.
-	sink *graph.Graph
+	// sink and distSink keep each measured call's result live.
+	sink     *graph.Graph
+	distSink map[graph.NodeID]int
 )
 
 func BenchmarkDecode(b *testing.B) {
@@ -106,5 +107,25 @@ func BenchmarkApplyMutations(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = g2
+	}
+}
+
+// BenchmarkHopDistances runs the invalidation BFS a write triggers: from
+// the 7 nodes a churn batch touches, to depth 4 (the deepest radius
+// churn-durable caches, k=5).
+func BenchmarkHopDistances(b *testing.B) {
+	g := er100k()
+	var sources [][]graph.NodeID
+	for _, batch := range churnBatches(g, 16) {
+		_, touched, err := g.ApplyMutations(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources = append(sources, touched)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		distSink = g.HopDistances(sources[i%len(sources)], 4)
 	}
 }

@@ -144,14 +144,14 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[i]++
 		nbr[p], wOut[p], wIn[p] = j, out, in
 	}
+	// Placing the keys in (lo, hi) order fills every row in ascending order:
+	// node i receives its partners below it (keys (j, i)) in ascending j
+	// before any partner above it (keys (i, j)), again in ascending j.
 	for _, k := range keys {
 		e := edges[k]
 		place(k.lo, k.hi, e.loHi, e.hiLo)
 		place(k.hi, k.lo, e.hiLo, e.loHi)
 	}
-	// Adjacency of each node lists lo-partners first (sorted by construction
-	// order over sorted keys) then hi-partners; a final per-node sort makes
-	// it fully ordered.
 	g := &Graph{
 		interest: append([]float64(nil), b.interest...),
 		off:      off,
@@ -159,30 +159,8 @@ func (b *Builder) Build() (*Graph, error) {
 		wOut:     wOut,
 		wIn:      wIn,
 	}
-	for i := 0; i < b.n; i++ {
-		lo, hi := off[i], off[i+1]
-		sortAdj(nbr[lo:hi], wOut[lo:hi], wIn[lo:hi])
-	}
 	g.fuse()
 	return g, nil
-}
-
-// sortAdj sorts the three parallel slices by neighbor id.
-func sortAdj(nbr []NodeID, wOut, wIn []float64) {
-	idx := make([]int, len(nbr))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return nbr[idx[a]] < nbr[idx[b]] })
-	n2 := make([]NodeID, len(nbr))
-	o2 := make([]float64, len(nbr))
-	i2 := make([]float64, len(nbr))
-	for pos, p := range idx {
-		n2[pos], o2[pos], i2[pos] = nbr[p], wOut[p], wIn[p]
-	}
-	copy(nbr, n2)
-	copy(wOut, o2)
-	copy(wIn, i2)
 }
 
 // FromEdgeList builds a symmetric-weight graph directly from an edge list;

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -136,6 +137,65 @@ func TestBuilderDuplicateEdgeMerging(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestBuildRowsSorted: Build lays every row out in strictly ascending
+// neighbor order without sorting rows, whatever the insertion order,
+// orientation and duplication of the arcs, and sums duplicates onto the
+// right entries.
+func TestBuildRowsSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type arc struct {
+		i, j NodeID
+		tau  float64
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		var arcs []arc
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			i, j := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if i == j {
+				continue
+			}
+			arcs = append(arcs, arc{i, j, float64(rng.Intn(64)) / 8})
+			for dup := rng.Intn(3); dup > 0; dup-- { // either orientation
+				if rng.Intn(2) == 0 {
+					i, j = j, i
+				}
+				arcs = append(arcs, arc{i, j, float64(rng.Intn(64)) / 8})
+			}
+		}
+		rng.Shuffle(len(arcs), func(a, c int) { arcs[a], arcs[c] = arcs[c], arcs[a] })
+		b := NewBuilder(n)
+		want := make(map[[2]NodeID]float64) // τ_{i,j} summed over the arcs i→j
+		edges := make(map[[2]NodeID]bool)   // undirected edges as (lo, hi)
+		for _, a := range arcs {
+			b.AddArc(a.i, a.j, a.tau)
+			want[[2]NodeID{a.i, a.j}] += a.tau
+			edges[[2]NodeID{min(a.i, a.j), max(a.i, a.j)}] = true
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if g.M() != len(edges) {
+			t.Fatalf("trial %d: M = %d, want %d", trial, g.M(), len(edges))
+		}
+		for i := NodeID(0); int(i) < n; i++ {
+			nbrs, out, _ := g.Edges(i)
+			for p, u := range nbrs {
+				if p > 0 && nbrs[p-1] >= u {
+					t.Fatalf("trial %d: row %d not strictly ascending: %v", trial, i, nbrs)
+				}
+				if w := want[[2]NodeID{i, u}]; out[p] != w {
+					t.Fatalf("trial %d: τ(%d,%d) = %v, want %v", trial, i, u, out[p], w)
+				}
+			}
+		}
 	}
 }
 

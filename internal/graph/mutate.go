@@ -214,7 +214,9 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 
 	// Reduce the edge overlay to per-node sorted edit lists. keyOrder keeps
 	// this deterministic; no-op overlays (add → del, or set back to the
-	// original weights) drop out here.
+	// original weights) drop out here. Weights compare by bits, so that a
+	// set from +0 to -0 is kept: the batch then yields what one call per op
+	// would, whatever the split.
 	rowEdits := make(map[NodeID]*rowEdit)
 	editedNodes := make([]NodeID, 0, 2*len(keyOrder))
 	editFor := func(v NodeID) *rowEdit {
@@ -236,7 +238,8 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 		case !st.origExists && st.exists:
 			editFor(k.lo).adds = append(rowEdits[k.lo].adds, adjEdit{nbr: k.hi, out: st.out, in: st.in})
 			editFor(k.hi).adds = append(rowEdits[k.hi].adds, adjEdit{nbr: k.lo, out: st.in, in: st.out})
-		case st.origExists && (st.out != st.origOut || st.in != st.origIn):
+		case st.origExists && (math.Float64bits(st.out) != math.Float64bits(st.origOut) ||
+			math.Float64bits(st.in) != math.Float64bits(st.origIn)):
 			editFor(k.lo).sets = append(rowEdits[k.lo].sets, adjEdit{nbr: k.hi, out: st.out, in: st.in})
 			editFor(k.hi).sets = append(rowEdits[k.hi].sets, adjEdit{nbr: k.lo, out: st.in, in: st.out})
 		default:

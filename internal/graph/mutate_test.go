@@ -370,39 +370,113 @@ func TestHopDistances(t *testing.T) {
 	if d[0] != 0 || d[1] != 1 {
 		t.Fatalf("robust source handling wrong: %v", d)
 	}
-	// Random graphs: multi-source result equals the min over single-source
-	// sweeps.
+	// Random graphs, against the map-based BFS HopDistances replaced:
+	// isolated nodes, duplicate, negative and out-of-range sources, and
+	// depth cutoffs from none to past the diameter.
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(40)
-		g, _ := randomGraph(t, rng, n)
-		var sources []NodeID
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			sources = append(sources, NodeID(rng.Intn(n)))
-		}
-		maxDepth := rng.Intn(5)
-		got := g.HopDistances(sources, maxDepth)
-		want := make(map[NodeID]int)
-		for _, s := range sources {
-			single := g.HopDistances([]NodeID{s}, maxDepth)
-			for v := 0; v < g.N(); v++ {
-				dv, ok := single[NodeID(v)]
-				if !ok {
-					continue
-				}
-				if old, seen := want[NodeID(v)]; !seen || dv < old {
-					want[NodeID(v)] = dv
-				}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		linked := 1 + rng.Intn(n) // nodes at or above linked stay isolated
+		b := NewBuilder(n)
+		for e := rng.Intn(2*linked + 1); e > 0; e-- {
+			if u, v := NodeID(rng.Intn(linked)), NodeID(rng.Intn(linked)); u != v {
+				b.AddEdgeSym(u, v, 1)
 			}
 		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sources []NodeID
+		for k := rng.Intn(7); k > 0; k-- {
+			s := NodeID(rng.Intn(n+4) - 2)
+			if len(sources) > 0 && rng.Intn(4) == 0 {
+				s = sources[rng.Intn(len(sources))]
+			}
+			sources = append(sources, s)
+		}
+		maxDepth := rng.Intn(8) - 1
+		got, want := g.HopDistances(sources, maxDepth), hopDistancesByMap(g, sources, maxDepth)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d nodes want %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: %d nodes reached, want %d (sources %v, depth %d)", trial, len(got), len(want), sources, maxDepth)
 		}
 		for v, dv := range want {
-			if got[v] != dv {
-				t.Fatalf("trial %d: dist[%d] = %d want %d", trial, v, got[v], dv)
+			if d, ok := got[v]; !ok || d != dv {
+				t.Fatalf("trial %d: dist[%d] = %d,%v want %d (sources %v, depth %d)", trial, v, d, ok, dv, sources, maxDepth)
 			}
 		}
+	}
+}
+
+// hopDistancesByMap is the multi-source BFS as HopDistances ran it before
+// the bitset: the result map doubles as the visited set, probed once per
+// adjacency entry scanned.
+func hopDistancesByMap(g *Graph, sources []NodeID, maxDepth int) map[NodeID]int {
+	dist := make(map[NodeID]int, len(sources))
+	q := make([]NodeID, 0, len(sources))
+	for _, s := range sources {
+		if int(s) < 0 || int(s) >= g.N() {
+			continue
+		}
+		if _, seen := dist[s]; seen {
+			continue
+		}
+		dist[s] = 0
+		q = append(q, s)
+	}
+	levelEnd, depth := len(q), 0
+	for head := 0; head < len(q); head++ {
+		if head == levelEnd {
+			depth++
+			levelEnd = len(q)
+		}
+		if depth >= maxDepth {
+			break
+		}
+		for _, u := range g.Neighbors(q[head]) {
+			if _, seen := dist[u]; seen {
+				continue
+			}
+			dist[u] = depth + 1
+			q = append(q, u)
+		}
+	}
+	return dist
+}
+
+// TestApplyMutationsSignedZero: weights compare by bits, so a batch that
+// sets an edge from +0 to 5 and on to -0 leaves -0 and reports the edge's
+// endpoints, as one call per op does.
+func TestApplyMutationsSignedZero(t *testing.T) {
+	g, err := FromEdgeList(3, []float64{1, 1, 1}, [][2]NodeID{{0, 1}, {1, 2}}, []float64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	set := func(w float64) Mutation { return Mutation{Op: MutSetTau, U: 0, V: 1, TauOut: w, TauIn: w} }
+	batched, touched, err := g.ApplyMutations([]Mutation{set(5), set(negZero)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, _, err := g.ApplyMutations([]Mutation{set(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, _, err := g1.ApplyMutations([]Mutation{set(negZero)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, batched), encodeBytes(t, split)) {
+		t.Fatal("one batch and one call per op disagree")
+	}
+	if out, in, _ := batched.Tau(0, 1); !math.Signbit(out) || !math.Signbit(in) {
+		t.Fatalf("τ(0,1) = %v, %v, want -0, -0", out, in)
+	}
+	if _, w := batched.FusedEdges(0); !math.Signbit(w[0]) {
+		t.Fatalf("fused weight %v, want -0", w[0])
+	}
+	if len(touched) != 2 || touched[0] != 0 || touched[1] != 1 {
+		t.Fatalf("touched = %v, want [0 1]", touched)
 	}
 }
 

@@ -1,6 +1,10 @@
 package graph
 
-import "slices"
+import (
+	"slices"
+
+	"waso/internal/bitset"
+)
 
 // A Region is the compact search instance for one start node: the induced
 // subgraph of the ≤radius-hop ball around the start, remapped to dense
@@ -194,34 +198,37 @@ func (g *Graph) ExtractRegion(start NodeID, radius, maxNodes int) *Region {
 // cached (start, radius) region balls a mutation's touched set reaches:
 // a ball is stale iff dist(start) ≤ radius.
 func (g *Graph) HopDistances(sources []NodeID, maxDepth int) map[NodeID]int {
-	dist := make(map[NodeID]int, len(sources))
+	seen := bitset.New(g.N())
 	q := make([]NodeID, 0, len(sources))
 	for _, s := range sources {
-		if int(s) < 0 || int(s) >= g.N() {
-			continue
+		if int(s) >= 0 && int(s) < g.N() && !seen.Contains(int(s)) {
+			seen.Add(int(s))
+			q = append(q, s)
 		}
-		if _, seen := dist[s]; seen {
-			continue
-		}
-		dist[s] = 0
-		q = append(q, s)
 	}
-	levelEnd, depth := len(q), 0
+	// Level-by-level BFS: the nodes at depth d are q[ends[d-1]:ends[d]].
+	ends := []int{len(q)}
 	for head := 0; head < len(q); head++ {
-		if head == levelEnd {
-			depth++
-			levelEnd = len(q)
+		if head == ends[len(ends)-1] {
+			ends = append(ends, len(q))
 		}
-		if depth >= maxDepth {
+		if len(ends)-1 >= maxDepth { // q[head] sits at depth len(ends)-1
 			break
 		}
 		for _, u := range g.Neighbors(q[head]) {
-			if _, seen := dist[u]; seen {
-				continue
+			if !seen.Contains(int(u)) {
+				seen.Add(int(u))
+				q = append(q, u)
 			}
-			dist[u] = depth + 1
-			q = append(q, u)
 		}
+	}
+	dist := make(map[NodeID]int, len(q))
+	start := 0
+	for depth, end := range ends {
+		for _, v := range q[start:end] {
+			dist[v] = depth
+		}
+		start = end
 	}
 	return dist
 }

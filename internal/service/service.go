@@ -571,7 +571,7 @@ func (s *Service) Mutate(ctx context.Context, id string, muts []graph.Mutation, 
 
 	if snapDue && s.st != nil {
 		// The WAL reached the snapshot cadence: fold it into a fresh
-		// snapshot so recovery stays O(recent mutations). A failure here
+		// snapshot so the log a boot replays stays short. A failure here
 		// degrades the store (future writes are refused) but the mutation
 		// itself is already durable — report success.
 		_ = s.st.Snapshot(id, newG, seq)

@@ -254,53 +254,63 @@ func (s *Store) recoverGraph(id string) (Recovered, error) {
 		return Recovered{}, fmt.Errorf("read wal: %w", err)
 	}
 
+	// Scan the log up to its end, a torn tail or the first corrupt frame,
+	// collecting the records past the snapshot for one replay.
 	version := snapSeq
-	records := 0
-	off := 0
-	var truncated int64
+	var (
+		pending []walRecord
+		off     int
+		torn    bool  // the log ends in a torn frame at off
+		stop    error // what is wrong with the frame at off, if it is corrupt
+	)
+scan:
 	for off < len(data) {
 		seq, muts, frameLen, err := DecodeRecord(data[off:])
-		if err != nil {
-			endsAtEOF := errors.Is(err, errTruncated) ||
-				(errors.Is(err, errBadCRC) && off+frameLen == len(data))
-			if endsAtEOF {
-				// Torn tail: the signature of a power cut mid-append. Cut it
-				// off so the next append starts on a clean frame boundary.
-				truncated = int64(len(data) - off)
-				if terr := wal.Truncate(int64(off)); terr != nil {
-					wal.Close()
-					return Recovered{}, fmt.Errorf("truncate torn tail: %w", terr)
-				}
-				break
-			}
-			wal.Close()
-			return Recovered{}, &CorruptLogError{Path: walPath, Offset: int64(off), Err: err}
-		}
 		switch {
+		case err != nil:
+			// A frame that ends at EOF is a torn tail, the signature of a
+			// power cut mid-append; anything else is corrupt.
+			torn = errors.Is(err, errTruncated) ||
+				(errors.Is(err, errBadCRC) && off+frameLen == len(data))
+			if !torn {
+				stop = err
+			}
+			break scan
 		case seq <= snapSeq:
 			// Already folded into the snapshot (a crash landed between the
 			// snapshot rename and the WAL truncate).
 		case seq != version+1:
-			wal.Close()
-			return Recovered{}, &CorruptLogError{
-				Path: walPath, Offset: int64(off),
-				Err: fmt.Errorf("store: sequence gap: record %d after version %d", seq, version),
-			}
+			stop = fmt.Errorf("store: sequence gap: record %d after version %d", seq, version)
+			break scan
 		default:
-			g2, _, aerr := g.ApplyMutations(muts)
-			if aerr != nil {
-				wal.Close()
-				return Recovered{}, &CorruptLogError{
-					Path: walPath, Offset: int64(off),
-					Err: fmt.Errorf("store: record %d does not apply: %w", seq, aerr),
-				}
-			}
-			g = g2
+			pending = append(pending, walRecord{off: int64(off), seq: seq, muts: muts})
 			version = seq
-			records++
 		}
 		off += frameLen
 	}
+	// Replay before reporting or cutting what follows the records: a record
+	// that does not apply comes first in the log, so its error wins and the
+	// WAL stays as it was.
+	g, err = replay(g, pending, walPath)
+	if err != nil {
+		wal.Close()
+		return Recovered{}, err
+	}
+	if stop != nil {
+		wal.Close()
+		return Recovered{}, &CorruptLogError{Path: walPath, Offset: int64(off), Err: stop}
+	}
+	var truncated int64
+	if torn {
+		// Cut the torn tail off so the next append starts on a clean frame
+		// boundary.
+		truncated = int64(len(data) - off)
+		if terr := wal.Truncate(int64(off)); terr != nil {
+			wal.Close()
+			return Recovered{}, fmt.Errorf("truncate torn tail: %w", terr)
+		}
+	}
+	records := len(pending)
 	if _, err := wal.Seek(int64(off), io.SeekStart); err != nil {
 		wal.Close()
 		return Recovered{}, fmt.Errorf("seek wal tail: %w", err)
@@ -313,6 +323,43 @@ func (s *Store) recoverGraph(id string) (Recovered, error) {
 	s.recRecords.Add(uint64(records))
 	s.recTruncated.Add(uint64(truncated))
 	return Recovered{ID: id, Graph: g, Version: version, Records: records, TruncatedBytes: truncated}, nil
+}
+
+// walRecord is one decoded WAL record awaiting replay.
+type walRecord struct {
+	off  int64 // byte offset of its frame
+	seq  uint64
+	muts []graph.Mutation
+}
+
+// replay applies recs to g in order with one ApplyMutations call: each
+// record applied to the state its predecessors left when it was appended,
+// and a batch applies its ops in order against the running state, so one
+// call yields the graph that one call per record would, for the cost of
+// one rebuild. If the batch fails, replay falls back to one call per
+// record to name the record that does not apply.
+func replay(g *graph.Graph, recs []walRecord, walPath string) (*graph.Graph, error) {
+	if len(recs) == 0 {
+		return g, nil
+	}
+	var batch []graph.Mutation
+	for _, r := range recs {
+		batch = append(batch, r.muts...)
+	}
+	if g2, _, err := g.ApplyMutations(batch); err == nil {
+		return g2, nil
+	}
+	for _, r := range recs {
+		g2, _, err := g.ApplyMutations(r.muts)
+		if err != nil {
+			return nil, &CorruptLogError{
+				Path: walPath, Offset: r.off,
+				Err: fmt.Errorf("store: record %d does not apply: %w", r.seq, err),
+			}
+		}
+		g = g2
+	}
+	return g, nil
 }
 
 // readSnapshot loads and validates one snapshot file.
