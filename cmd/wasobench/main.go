@@ -30,17 +30,13 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"waso/internal/core"
 	"waso/internal/gen"
 	"waso/internal/graph"
-	"waso/internal/metrics"
 	"waso/internal/objective"
 	"waso/internal/solver"
 )
@@ -80,21 +76,6 @@ type entry struct {
 	Willing  float64 `json:"willingness,omitempty"`
 	SamplesN int64   `json:"samples_drawn,omitempty"`
 	PrunedN  int64   `json:"pruned,omitempty"`
-
-	// Throughput-mode rows: request rate and latency percentiles of a
-	// concurrent replay (NsPerOp then holds the mean latency).
-	QPS float64 `json:"qps,omitempty"`
-	P50 float64 `json:"p50_ns,omitempty"`
-	P95 float64 `json:"p95_ns,omitempty"`
-	P99 float64 `json:"p99_ns,omitempty"`
-
-	// Metrics holds serving-telemetry deltas scraped around a throughput
-	// row — cache/pool/executor counters keyed by the same family names
-	// wasod renders on /metrics, plus executor queue-wait percentiles in
-	// seconds. The warmup request runs before the scrape, so deltas cover
-	// exactly the timed replay. Absent outside -throughput mode; unknown
-	// to runCompare (the gate keys on ns_per_op only).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -120,20 +101,10 @@ func run(args []string, out io.Writer) error {
 		cmpMatch = fs.String("compare-match", "", "compare mode: only gate rows whose name contains this substring")
 		cmpTol   = fs.Float64("compare-tolerance", 1.25, "compare mode: fail when new/old ns_per_op exceeds this ratio")
 
-		throughput = fs.Bool("throughput", false, "serving-replay mode: fire concurrent solve requests at a resident graph and report QPS + latency percentiles")
-		concs      = fs.String("concurrency", "1,8,32", "throughput mode: comma-separated concurrent client counts (overload mode uses the largest as its closed-loop client count)")
-		requests   = fs.Int("requests", 256, "throughput mode: total solve requests per configuration")
-
-		mutate       = fs.Bool("mutate", false, "mutation-replay mode: apply random mutation batches through an in-process service while clients solve, and report mutation + solve latency")
-		mutations    = fs.Int("mutations", 128, "mutate mode: total mutation batches to apply")
-		batchOps     = fs.Int("batch-ops", 4, "mutate mode: mutation ops per batch")
-		solveClients = fs.Int("solve-clients", 2, "mutate mode: concurrent solve clients running during the replay (0 = mutations only)")
-		dataDir      = fs.String("data-dir", "", `mutate mode: durable store directory ("temp" = a throwaway temp dir; empty = memory-only)`)
-		fsyncPolicy  = fs.String("fsync", "always", `mutate mode: WAL durability policy when -data-dir is set ("always", "off", or a group-commit interval like "100ms")`)
-
 		overload    = fs.Bool("overload", false, "overload-smoke mode: drive a live wasod (-url) through calibrate/overdrive/cooldown phases and assert shed-don't-collapse")
 		urlFlag     = fs.String("url", "", "overload mode: base URL of the running wasod server")
 		graphID     = fs.String("graph", "bench-overload", "overload mode: graph id to create (or reuse) on the server")
+		conc        = fs.Int("concurrency", 32, "overload mode: closed-loop clients in the calibrate and cooldown phases")
 		phaseDur    = fs.Duration("phase", 3*time.Second, "overload mode: duration of each phase")
 		odFactor    = fs.Float64("overdrive-factor", 4, "overload mode: open-loop arrival rate as a multiple of the calibrated rate")
 		arrivalRate = fs.Float64("arrival-rate", 0, "overload mode: explicit open-loop arrivals/s (0 = overdrive-factor × calibrated)")
@@ -196,53 +167,11 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if (*mutate || *overload || *throughput) && !defaultObjOnly {
-		// The replay modes exercise the serving machinery, not the scoring
-		// generality; keeping them on the default objective keeps their
-		// historical row names and baselines meaningful.
-		return fmt.Errorf("-mutate/-overload/-throughput replay the default objective only, got -objectives=%q", *objs)
-	}
-
-	if *mutate {
-		if *throughput || *overload {
-			return fmt.Errorf("-mutate is mutually exclusive with -throughput and -overload")
-		}
-		if *mutations < 1 {
-			return fmt.Errorf("-mutations must be ≥ 1, got %d", *mutations)
-		}
-		if *batchOps < 1 {
-			return fmt.Errorf("-batch-ops must be ≥ 1, got %d", *batchOps)
-		}
-		if *solveClients < 0 {
-			return fmt.Errorf("-solve-clients must be ≥ 0, got %d", *solveClients)
-		}
-		// The default -algos is a sweep; the replay solves one algorithm,
-		// so take its first entry unless the user explicitly asked for more.
-		algosSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "algos" {
-				algosSet = true
-			}
-		})
-		if !algosSet {
-			algoNames = algoNames[:1]
-		}
-		if len(sizes) > 1 || len(kSweep) > 1 || len(algoNames) > 1 || len(modes) > 1 {
-			return fmt.Errorf("-mutate drives a single configuration; got sweeps n=%q ks=%q algos=%q regions=%q",
-				*ns, *ks, *algos, *regions)
-		}
-		cfg := mutateConfig{
-			n: sizes[0], genKind: *genKind, avgDeg: *avgDeg, seed: *seed,
-			algo: algoNames[0], k: kSweep[0], starts: *starts, samples: *samples,
-			batches: *mutations, batchOps: *batchOps, conc: *solveClients,
-			dataDir: *dataDir, fsync: *fsyncPolicy,
-		}
-		return runMutate(cfg, *outPath, out, args)
-	}
-
 	if *overload {
-		if *throughput {
-			return fmt.Errorf("-overload and -throughput are mutually exclusive")
+		if !defaultObjOnly {
+			// The overload gate exercises admission, not scoring
+			// generality, so it stays on the default objective.
+			return fmt.Errorf("-overload drives the default objective only, got -objectives=%q", *objs)
 		}
 		if *urlFlag == "" {
 			return fmt.Errorf("-overload needs -url of a running wasod")
@@ -262,15 +191,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-overload drives a single configuration; got sweeps n=%q ks=%q algos=%q regions=%q",
 				*ns, *ks, *algos, *regions)
 		}
-		concList, err := parseInts(*concs)
-		if err != nil {
-			return fmt.Errorf("-concurrency: %w", err)
-		}
-		clients := 0
-		for _, c := range concList {
-			if c > clients {
-				clients = c
-			}
+		if *conc < 1 {
+			return fmt.Errorf("-concurrency must be ≥ 1, got %d", *conc)
 		}
 		if *phaseDur <= 0 {
 			return fmt.Errorf("-phase must be > 0, got %v", *phaseDur)
@@ -283,43 +205,11 @@ func run(args []string, out io.Writer) error {
 			genKind: *genKind, n: sizes[0], avgDeg: *avgDeg, seed: *seed,
 			algo: algoNames[0], k: kSweep[0], starts: *starts, samples: *samples,
 			timeoutMS: *solveTO,
-			conc:      clients, phase: *phaseDur,
+			conc:      *conc, phase: *phaseDur,
 			factor: *odFactor, rate: *arrivalRate, maxInflight: *maxInflight,
 			p99Factor: *p99Factor, goodputFrac: *goodputFrac,
 		}
 		return runOverload(cfg, *outPath, out, args)
-	}
-
-	if *throughput {
-		concList, err := parseInts(*concs)
-		if err != nil {
-			return fmt.Errorf("-concurrency: %w", err)
-		}
-		if *requests < 1 {
-			return fmt.Errorf("-requests must be ≥ 1, got %d", *requests)
-		}
-		// Fail loudly on sweep flags the replay does not honour — silently
-		// dropping half of `-regions off,auto` would mislabel the output.
-		if len(modes) > 1 {
-			return fmt.Errorf("-throughput replays a single region mode, got %q", *regions)
-		}
-		var inapplicable []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "workers", "reps", "skip-unprepped":
-				inapplicable = append(inapplicable, "-"+f.Name)
-			}
-		})
-		if len(inapplicable) > 0 {
-			return fmt.Errorf("%s do not apply in -throughput mode", strings.Join(inapplicable, ", "))
-		}
-		cfg := throughputConfig{
-			sizes: sizes, ks: kSweep, algos: algoNames, concs: concList,
-			genKind: *genKind, avgDeg: *avgDeg,
-			region: modes[0], starts: *starts, samples: *samples,
-			requests: *requests, seed: *seed,
-		}
-		return runThroughput(cfg, *outPath, out, args)
 	}
 
 	// Raise GOMAXPROCS to the top of the sweep before the first solve sizes
@@ -470,106 +360,6 @@ func measure(ctx context.Context, g *graph.Graph, sv solver.Solver, req core.Req
 	return best, nil
 }
 
-// throughputConfig parameterizes one serving replay sweep.
-type throughputConfig struct {
-	sizes, ks, concs []int
-	algos            []string
-	genKind          string
-	avgDeg           float64
-	region           core.RegionMode
-	starts, samples  int
-	requests         int
-	seed             uint64
-}
-
-// runThroughput is the serving-replay mode: against each resident graph it
-// fires cfg.requests solve requests from N concurrent clients — the many
-// small (k, budget) queries of the serving workload, seeds varied per
-// request — through one bounded solver.Executor (the wasod serving path),
-// and reports QPS plus p50/p95/p99 latency at each concurrency level.
-func runThroughput(cfg throughputConfig, outPath string, out io.Writer, args []string) error {
-	rep := report{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		Goos:       runtime.GOOS,
-		Goarch:     runtime.GOARCH,
-		CPU:        cpuModel(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Command:    "wasobench " + strings.Join(args, " "),
-		Note: fmt.Sprintf("Serving throughput replay: %d solve requests (seeds varied per request) fired by "+
-			"concurrent clients against one resident graph sharing Prep, workspace pool, region cache and one "+
-			"bounded executor (total solver goroutines = GOMAXPROCS). "+
-			"%d starts x %d samples per request; ns_per_op is mean latency, p50/p95/p99 and qps recorded per row. "+
-			"Each row also carries 'metrics': serving-telemetry deltas (cache/pool/executor counters, queue-wait "+
-			"percentiles) scraped around the replay, keyed by the wasod /metrics family names.",
-			cfg.requests, cfg.starts, cfg.samples),
-	}
-	for _, n := range cfg.sizes {
-		// Per-graph closure so the shared executor's workers are released
-		// on every return path.
-		err := func() error {
-			fmt.Fprintf(os.Stderr, "wasobench: generating %s n=%d avgdeg=%g...\n", cfg.genKind, n, cfg.avgDeg)
-			g, err := gen.Spec{Kind: cfg.genKind, N: n, AvgDeg: cfg.avgDeg, Seed: cfg.seed}.Build()
-			if err != nil {
-				return err
-			}
-			// One warm per-graph context, exactly like the service layer:
-			// the replay measures scheduling, not ranking or extraction.
-			// Pool, cache and executor stay addressable so each row can
-			// scrape their counters before and after its replay.
-			obj, err := objective.New(core.DefaultObjective)
-			if err != nil {
-				return err
-			}
-			b := objective.Bind(obj, g)
-			pool := solver.NewWorkspacePool(g)
-			cache := solver.NewRegionCache(b, 0)
-			warm := context.Background()
-			warm = solver.WithPrep(warm, solver.NewPrep(b))
-			warm = solver.WithWorkspacePool(warm, pool)
-			warm = solver.WithRegionCache(warm, cache)
-			ex := solver.NewExecutor(0)
-			defer ex.Close()
-			warm = solver.WithExecutor(warm, ex)
-			for _, k := range cfg.ks {
-				for _, algoName := range cfg.algos {
-					sv, err := solver.New(algoName)
-					if err != nil {
-						return err
-					}
-					base := core.DefaultRequest(k)
-					base.Starts = cfg.starts
-					base.Samples = cfg.samples
-					base.Region = cfg.region
-					for _, conc := range cfg.concs {
-						// Warm up before the scrape so the metric deltas
-						// cover exactly the timed replay below.
-						warmReq := base
-						warmReq.Seed = cfg.seed
-						if _, err := sv.Solve(warm, g, warmReq); err != nil {
-							return err
-						}
-						before := snapshotServing(pool, cache, ex)
-						e, err := measureThroughput(warm, g, sv, base, conc, cfg.requests, cfg.seed)
-						if err != nil {
-							return err
-						}
-						e.Metrics = snapshotServing(pool, cache, ex).delta(before)
-						e.Name = throughputRowName(n, cfg.genKind, k, algoName, conc)
-						fmt.Fprintf(os.Stderr, "wasobench: %-64s %9.1f qps  p99 %11.0f ns\n", e.Name, e.QPS, e.P99)
-						rep.Benchmarks = append(rep.Benchmarks, e)
-					}
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-	}
-
-	return writeReport(out, outPath, rep)
-}
-
 // writeReport encodes rep as indented JSON to the file at outPath, or to
 // out when outPath is empty. Close is checked, not deferred: the OS may
 // only surface a write failure (a full disk, a vanished mount) at flush
@@ -592,125 +382,6 @@ func writeReport(out io.Writer, outPath string, rep any) error {
 		return err
 	}
 	return f.Close()
-}
-
-// servingSnapshot captures the cumulative counters of the serving
-// substrate (workspace pool, region cache, shared executor) at one
-// instant; two snapshots bracket a replay and their delta becomes the
-// row's scraped metrics.
-type servingSnapshot struct {
-	pool  solver.WorkspacePoolStats
-	cache solver.RegionCacheStats
-	exec  solver.ExecutorStats
-	qw    metrics.HistogramSnapshot
-}
-
-func snapshotServing(pool *solver.WorkspacePool, cache *solver.RegionCache, ex *solver.Executor) servingSnapshot {
-	return servingSnapshot{
-		pool:  pool.Stats(),
-		cache: cache.Stats(),
-		exec:  ex.Stats(),
-		qw:    ex.QueueWait().Snapshot(),
-	}
-}
-
-// delta renders after−before as a map keyed by the same Prometheus family
-// names wasod exposes on /metrics, so a wasobench row and a production
-// scrape speak the same vocabulary. Queue-wait percentiles are computed
-// from the bracketed histogram delta (seconds) and only emitted when the
-// replay actually scheduled executor jobs.
-func (after servingSnapshot) delta(before servingSnapshot) map[string]float64 {
-	m := map[string]float64{
-		"waso_workspace_pool_gets_total":         float64(after.pool.Gets - before.pool.Gets),
-		"waso_workspace_pool_allocs_total":       float64(after.pool.Allocs - before.pool.Allocs),
-		"waso_region_cache_hits_total":           float64(after.cache.Hits - before.cache.Hits),
-		"waso_region_cache_misses_total":         float64(after.cache.Misses - before.cache.Misses),
-		"waso_region_cache_negative_hits_total":  float64(after.cache.NegativeHits - before.cache.NegativeHits),
-		"waso_region_cache_evictions_total":      float64(after.cache.Evictions - before.cache.Evictions),
-		"waso_executor_jobs_total":               float64(after.exec.Jobs - before.exec.Jobs),
-		"waso_executor_tasks_total":              float64(after.exec.Tasks - before.exec.Tasks),
-		"waso_executor_queue_wait_seconds_count": float64(after.qw.Count - before.qw.Count),
-	}
-	if qw := after.qw.Sub(before.qw); qw.Count > 0 {
-		m["waso_executor_queue_wait_seconds_p50"] = qw.Percentile(50)
-		m["waso_executor_queue_wait_seconds_p95"] = qw.Percentile(95)
-		m["waso_executor_queue_wait_seconds_p99"] = qw.Percentile(99)
-	}
-	return m
-}
-
-// throughputRowName renders one throughput row, omitting default axes like
-// rowName does.
-func throughputRowName(n int, genKind string, k int, algo string, conc int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "BenchmarkThroughput/n=%d", n)
-	if genKind != defaultGen {
-		fmt.Fprintf(&b, "/gen=%s", genKind)
-	}
-	if k != defaultK {
-		fmt.Fprintf(&b, "/k=%d", k)
-	}
-	fmt.Fprintf(&b, "/%s/conc=%d", algo, conc)
-	return b.String()
-}
-
-// measureThroughput replays total requests from conc concurrent clients
-// (seed varied per request) and aggregates latency. The caller warms the
-// shared state up first — the replay itself is fully timed.
-func measureThroughput(ctx context.Context, g *graph.Graph, sv solver.Solver, base core.Request, conc, total int, seed uint64) (entry, error) {
-	lat := make([]float64, total)
-	var next atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	if conc > total {
-		conc = total
-	}
-	began := time.Now()
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				req := base
-				req.Seed = seed + uint64(i)
-				t0 := time.Now()
-				if _, err := sv.Solve(ctx, g, req); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				lat[i] = float64(time.Since(t0).Nanoseconds())
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(began)
-	if firstErr != nil {
-		return entry{}, firstErr
-	}
-	sorted := append([]float64(nil), lat...)
-	slices.Sort(sorted)
-	mean := 0.0
-	for _, v := range sorted {
-		mean += v
-	}
-	mean /= float64(total)
-	return entry{
-		Iters:   total,
-		NsPerOp: mean,
-		QPS:     float64(total) / wall.Seconds(),
-		P50:     percentile(sorted, 50),
-		P95:     percentile(sorted, 95),
-		P99:     percentile(sorted, 99),
-	}, nil
 }
 
 // percentile returns the p-th percentile of an ascending-sorted sample

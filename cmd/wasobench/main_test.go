@@ -100,82 +100,6 @@ func TestHarnessRegionSweep(t *testing.T) {
 	}
 }
 
-// TestThroughputMode: the serving replay produces one row per (algo,
-// concurrency) with positive QPS and ordered percentiles, every request
-// runs on the replay's executor, and bad sweep flags are rejected.
-func TestThroughputMode(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-throughput", "-n", "2000", "-samples", "5", "-requests", "8",
-		"-concurrency", "1,2", "-algos", "cbas",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	// 1 algo × 2 concurrencies.
-	if want := 2; len(rep.Benchmarks) != want {
-		t.Fatalf("got %d rows, want %d: %v", len(rep.Benchmarks), want, names(rep.Benchmarks))
-	}
-	seen := map[string]bool{}
-	for _, b := range rep.Benchmarks {
-		seen[b.Name] = true
-		if b.QPS <= 0 || b.NsPerOp <= 0 {
-			t.Errorf("%s: qps = %v, ns_per_op = %v", b.Name, b.QPS, b.NsPerOp)
-		}
-		if b.P50 <= 0 || b.P95 < b.P50 || b.P99 < b.P95 {
-			t.Errorf("%s: unordered percentiles p50=%v p95=%v p99=%v", b.Name, b.P50, b.P95, b.P99)
-		}
-		if b.Iters != 8 {
-			t.Errorf("%s: iterations = %d, want 8", b.Name, b.Iters)
-		}
-		// Every row carries scraped serving-telemetry deltas covering the
-		// timed replay: 8 requests × 8 default starts drew workspaces.
-		if b.Metrics == nil {
-			t.Fatalf("%s: no metrics deltas", b.Name)
-		}
-		if got := b.Metrics["waso_workspace_pool_gets_total"]; got <= 0 {
-			t.Errorf("%s: waso_workspace_pool_gets_total = %v, want > 0", b.Name, got)
-		}
-		if jobs := b.Metrics["waso_executor_jobs_total"]; jobs != 8 {
-			t.Errorf("%s: waso_executor_jobs_total = %v, want 8 (one per request)", b.Name, jobs)
-		}
-		if cnt := b.Metrics["waso_executor_queue_wait_seconds_count"]; cnt != 8 {
-			t.Errorf("%s: queue-wait count = %v, want 8", b.Name, cnt)
-		}
-		p50 := b.Metrics["waso_executor_queue_wait_seconds_p50"]
-		p99 := b.Metrics["waso_executor_queue_wait_seconds_p99"]
-		if p50 < 0 || p99 < p50 {
-			t.Errorf("%s: queue-wait percentiles p50=%v p99=%v", b.Name, p50, p99)
-		}
-	}
-	for _, want := range []string{
-		"BenchmarkThroughput/n=2000/cbas/conc=1",
-		"BenchmarkThroughput/n=2000/cbas/conc=2",
-	} {
-		if !seen[want] {
-			t.Errorf("missing row %q (have %v)", want, names(rep.Benchmarks))
-		}
-	}
-
-	for _, args := range [][]string{
-		{"-throughput", "-n", "100", "-requests", "0"},
-		{"-throughput", "-n", "100", "-concurrency", "0"},
-		// Sweep axes the replay does not honour fail loudly instead of
-		// silently shaping the output.
-		{"-throughput", "-n", "100", "-regions", "off,auto"},
-		{"-throughput", "-n", "100", "-workers", "2"},
-		{"-throughput", "-n", "100", "-reps", "5"},
-	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Errorf("run(%v) accepted", args)
-		}
-	}
-}
-
 func names(rows []entry) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {

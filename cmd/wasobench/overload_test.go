@@ -156,7 +156,7 @@ func TestOverloadModeCatchesCollapse(t *testing.T) {
 func TestOverloadBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-overload"}, // no -url
-		{"-overload", "-url", "http://x", "-throughput"},
+		{"-overload", "-url", "http://x", "-concurrency", "0"},
 		{"-overload", "-url", "http://x", "-n", "100,200"},
 		{"-overload", "-url", "http://x", "-ks", "4,10"},
 		{"-overload", "-url", "http://x", "-algos", "cbas,cbasnd"},

@@ -20,14 +20,15 @@
 //	          an Objective turns a graph's raw scores into the fused
 //	          per-node / per-adjacency-entry gain arrays the growth
 //	          loops consume (the fused-additive contract: symmetric
-//	          nonnegative edge gains, finite node gains, so the §3.1
-//	          start bound stays admissible), plus a scale-adaptive
-//	          search-budget Plan. Objectives register by name like
-//	          solvers; "willingness" (Eq. 1) aliases the graph's own
-//	          fused slabs so the seam is bit-identical to the pre-seam
-//	          code, "friend" scores noisy-or friend-making likelihood
-//	          (arXiv 1502.06682), "budget" scores like willingness but
-//	          plans starts/samples/region caps from the instance scale
+//	          edge gains, finite node gains; the §3.1 start bound counts
+//	          the edge gains' positive part, so it stays admissible on
+//	          every graph), plus a scale-adaptive search-budget Plan.
+//	          Objectives register by name like solvers; "willingness"
+//	          (Eq. 1) aliases the graph's own fused slabs so the seam
+//	          is bit-identical to the pre-seam code, "friend" scores
+//	          noisy-or friend-making likelihood (arXiv 1502.06682),
+//	          "budget" scores like willingness but plans
+//	          starts/samples/region caps from the instance scale
 //	          (arXiv 1502.06819).
 //	solver  — the four paper algorithms behind a registry
 //	          (Register/New/Names) with the context-aware entry point
@@ -104,11 +105,11 @@
 //	          -data-dir turns on the durable store with boot-time
 //	          recovery; overload maps to 429/503 with jittered
 //	          Retry-After and SIGTERM runs the drain sequence), and
-//	          cmd/wasobench (large-graph scaling benchmarks, the
-//	          -throughput serving replay whose rows carry scraped metric
-//	          deltas, the -mutate churn replay over the durable path,
-//	          and the -overload shed-don't-collapse gate against a live
-//	          wasod).
+//	          cmd/wasobench (large-graph scaling benchmarks with their
+//	          compare gate, and the -overload shed-don't-collapse gate
+//	          against a live wasod). The serving benchmark, servebench/,
+//	          is a module of its own that drives service directly and
+//	          checks every answer.
 //	lint    — off to the side of the tower: internal/lint and its driver
 //	          cmd/wasolint machine-check the conventions the layers above
 //	          rely on (solver result-path determinism, the waso_ metric

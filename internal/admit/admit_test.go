@@ -110,9 +110,9 @@ func TestQueueCap(t *testing.T) {
 	}
 }
 
-// TestLatencyHysteresis: the p99 latch engages above P99Limit, stays
-// latched while the p99 sits between resume and limit, and releases only
-// below P99Resume.
+// TestLatencyHysteresis: the p99 latch engages above P99Limit (a p99 equal
+// to the limit does not engage it), stays latched while the p99 sits
+// between resume and limit, and releases only below P99Resume.
 func TestLatencyHysteresis(t *testing.T) {
 	sig := newFakeSignals()
 	now := time.Unix(0, 0)
@@ -180,6 +180,30 @@ func TestLatencyHysteresis(t *testing.T) {
 	now = now.Add(2 * time.Second)
 	if d := admit(); !d.Admit {
 		t.Fatal("idle window did not release the latch")
+	}
+
+	// A window whose p99 equals the limit exactly. Observations past the
+	// last bucket bound (60s) land in the overflow bucket, for which
+	// Percentile reports that bound, so the window's p99 reads exactly 60s.
+	atLimit := newFakeSignals()
+	c = New(Config{
+		P99Limit:  60 * time.Second,
+		P99Resume: time.Second,
+		Window:    time.Second,
+		Now:       func() time.Time { return now },
+	}, atLimit.signals())
+	if d := admit(); !d.Admit {
+		t.Fatalf("priming admit shed: %+v", d)
+	}
+	for i := 0; i < 100; i++ {
+		atLimit.wait.Observe(120)
+	}
+	now = now.Add(2 * time.Second)
+	if d := admit(); !d.Admit {
+		t.Fatalf("p99 equal to P99Limit shed: %+v", d)
+	}
+	if st := c.Snapshot(); st.Shedding || st.P99 != 60*time.Second {
+		t.Fatalf("snapshot at the limit: %+v, want P99 60s and no shedding", st)
 	}
 }
 

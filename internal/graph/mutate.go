@@ -258,12 +258,14 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 		grow += int64(len(re.adds) - len(re.dels))
 	}
 
-	// New interest array: copy, apply overrides, append new nodes.
+	// New interest array: copy, apply overrides, append new nodes. An η
+	// compares by bits like the weights above, so a +0 → -0 edit, which
+	// stores new bits, also reports its node.
 	interest := make([]float64, curN)
 	copy(interest, g.interest)
 	copy(interest[oldN:], appended)
 	for _, v := range etaOrder {
-		if int(v) < oldN && interest[v] != etaSet[v] {
+		if int(v) < oldN && math.Float64bits(interest[v]) != math.Float64bits(etaSet[v]) {
 			touched = append(touched, v)
 		}
 		interest[v] = etaSet[v]

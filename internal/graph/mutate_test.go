@@ -192,9 +192,10 @@ func TestApplyMutationsCanonical(t *testing.T) {
 					t.Fatalf("touched not sorted+deduped: %v", touched)
 				}
 			}
-			// Bound scores (η + Σ incident fused weight, the additive
-			// objective's Bound) of untouched nodes must be bit-identical —
-			// that is the contract surgical Prep refresh relies on.
+			// Bound-style scores (η + Σ incident fused weight, read from
+			// the same row the additive objective's Bound reads) of
+			// untouched nodes must be bit-identical — that is the contract
+			// surgical Prep refresh relies on.
 			boundScore := func(g *Graph, v NodeID) float64 {
 				s := g.Interest(v)
 				_, w := g.FusedEdges(v)
@@ -444,11 +445,12 @@ func hopDistancesByMap(g *Graph, sources []NodeID, maxDepth int) map[NodeID]int 
 	return dist
 }
 
-// TestApplyMutationsSignedZero: weights compare by bits, so a batch that
-// sets an edge from +0 to 5 and on to -0 leaves -0 and reports the edge's
-// endpoints, as one call per op does.
+// TestApplyMutationsSignedZero: weights and interests compare by bits, so
+// a batch that sets an edge from +0 to 5 and on to -0 leaves -0 and reports
+// the edge's endpoints, as one call per op does, and an η flip from +0 to
+// -0 reports its node.
 func TestApplyMutationsSignedZero(t *testing.T) {
-	g, err := FromEdgeList(3, []float64{1, 1, 1}, [][2]NodeID{{0, 1}, {1, 2}}, []float64{0, 1})
+	g, err := FromEdgeList(3, []float64{0, 1, 1}, [][2]NodeID{{0, 1}, {1, 2}}, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,6 +479,17 @@ func TestApplyMutationsSignedZero(t *testing.T) {
 	}
 	if len(touched) != 2 || touched[0] != 0 || touched[1] != 1 {
 		t.Fatalf("touched = %v, want [0 1]", touched)
+	}
+
+	flipped, touched, err := g.ApplyMutations([]Mutation{{Op: MutSetInterest, U: 0, Eta: negZero}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(flipped.Interest(0)) {
+		t.Fatalf("η(0) = %v, want -0", flipped.Interest(0))
+	}
+	if len(touched) != 1 || touched[0] != 0 {
+		t.Fatalf("η +0 → -0: touched = %v, want [0]", touched)
 	}
 }
 

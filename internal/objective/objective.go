@@ -13,11 +13,12 @@
 // and the value of a group F is Σ_{v∈F} Node[v] plus Σ Edge over the
 // edges inside F, each undirected edge counted once. Edge values must be
 // symmetric per undirected edge (the entry at v for u bit-equals the
-// entry at u for v) and nonnegative, and Node values finite: under those
-// conditions the §3.1 start-node bound — Bound(v) = Node[v] + Σ incident
-// Edge — is admissible (Δ(v|S) ≤ Bound(v) for every S), so the solvers'
-// shared-incumbent pruning and the CBAS phase-1 ranking carry over to
-// every objective unchanged.
+// entry at u for v), and Node values finite; the §3.1 start-node bound
+// counts Edge's positive part. That bound — Bound(v) = Node[v] + Σ
+// incident max(Edge, 0) — is admissible (Δ(v|S) ≤ Bound(v) for every S)
+// on every graph, negative τ included, so the solvers' shared-incumbent
+// pruning and the CBAS phase-1 ranking carry over to every objective
+// unchanged.
 //
 // Objectives register themselves by name exactly like solvers
 // (Register/New/Names); "willingness" is the extracted paper default and
@@ -43,9 +44,10 @@ const Default = "willingness"
 // standalone gain of node i, Edge[p] the extra gain when the adjacency
 // entry p connects two group members. Edge is aligned with the graph's
 // FusedCSR adjacency order (len == total adjacency entries, i.e. 2M) and
-// must be symmetric per undirected edge and nonnegative; Node must be
-// finite. Implementations may alias graph-internal storage (the
-// willingness objective does) — callers treat both slices as read-only.
+// must be symmetric per undirected edge; Bound counts its positive part.
+// Node must be finite. Implementations may alias graph-internal storage
+// (the willingness objective does) — callers treat both slices as
+// read-only.
 type Arrays struct {
 	Edge []float64
 	Node []float64
@@ -209,13 +211,20 @@ func (Additive) Delta(b *Binding, v graph.NodeID, inSet func(graph.NodeID) bool)
 	return d
 }
 
-// Bound implements the §3.1 admissible bound: Node[v] plus every incident
-// Edge entry, accumulated in adjacency order (the same float order the
-// pre-seam NodeScore used, keeping willingness rankings bit-identical).
+// Bound implements the §3.1 admissible bound: Node[v] plus the positive
+// part of every incident Edge entry, accumulated in adjacency order (the
+// same float order the pre-seam NodeScore used, keeping willingness
+// rankings bit-identical on graphs without negative τ). A negative entry
+// can only lower Delta, so it counts as 0: summing it would let the bound
+// fall below Delta(v|S) for an S that leaves that neighbour out. It is a
+// branch rather than the builtin max, which must also order NaN and
+// signed zeros and costs more in this loop, run for every node at load.
 func (Additive) Bound(b *Binding, v graph.NodeID) float64 {
 	s := b.node[v]
 	for p := b.off[v]; p < b.off[v+1]; p++ {
-		s += b.edge[p]
+		if e := b.edge[p]; e > 0 {
+			s += e
+		}
 	}
 	return s
 }

@@ -234,44 +234,86 @@ func TestBudgetPlan(t *testing.T) {
 	}
 }
 
+// buildSigned is buildRef's topology plus an edge 2–3, with τ of mixed
+// sign: the fused weights of 1–2 and 3–4 are negative, those of 0–1, 0–2
+// and 2–3 positive.
+func buildSigned(t *testing.T) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(5)
+	for i := 0; i < 5; i++ {
+		b.SetInterest(graph.NodeID(i), float64(i+1))
+	}
+	b.AddEdge(0, 1, 0.5, 0.25)
+	b.AddEdge(1, 2, -1, -2)
+	b.AddEdge(0, 2, 0.1, 0.2)
+	b.AddEdge(2, 3, 1, -0.25)
+	b.AddEdge(3, 4, -1.5, 0.5)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestDeltaBoundContract: for every registered objective, Bound(v) must
-// dominate Delta(v|S) for every tried S (admissibility), with equality
-// when S covers all of v's neighbors, and incremental Deltas must
-// reconstruct Value.
+// dominate Delta(v|S) for every tried S (admissibility), negative τ
+// included, with equality when S holds exactly v's neighbours across
+// positive Edge entries, and incremental Deltas must reconstruct Value.
 func TestDeltaBoundContract(t *testing.T) {
-	g := buildRef(t)
-	for _, obj := range All() {
-		b := Bind(obj, g)
-		for v := graph.NodeID(0); int(v) < g.N(); v++ {
-			bound := b.Score(v)
-			for _, set := range [][]graph.NodeID{
-				nil,
-				{0}, {1}, {3},
-				{0, 1}, {1, 2}, {3, 4},
-				{0, 1, 2, 3, 4},
-			} {
-				d := b.Delta(v, inSetOf(set))
-				if d > bound {
-					t.Errorf("%s: Delta(%d | %v) = %v exceeds Bound = %v", obj.Name(), v, set, d, bound)
-				}
-			}
-			// S ⊇ N(v): the bound is met exactly (same accumulation order).
-			if d := b.Delta(v, func(graph.NodeID) bool { return true }); d != bound {
-				t.Errorf("%s: Delta(%d | V) = %v != Bound = %v", obj.Name(), v, d, bound)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ref", buildRef(t)}, {"signed", buildSigned(t)}} {
+		for _, obj := range All() {
+			t.Run(tc.name+"/"+obj.Name(), func(t *testing.T) { checkDeltaBound(t, Bind(obj, tc.g)) })
+		}
+	}
+}
+
+func checkDeltaBound(t *testing.T, b *Binding) {
+	g, name := b.Graph(), b.Name()
+	off, nbr, edge, _ := b.CSR()
+	for v := graph.NodeID(0); int(v) < g.N(); v++ {
+		bound := b.Score(v)
+		for _, set := range [][]graph.NodeID{
+			nil,
+			{0}, {1}, {3},
+			{0, 1}, {1, 2}, {3, 4},
+			{0, 1, 2, 3, 4},
+		} {
+			d := b.Delta(v, inSetOf(set))
+			if d > bound {
+				t.Errorf("%s: Delta(%d | %v) = %v exceeds Bound = %v", name, v, set, d, bound)
 			}
 		}
-		// Greedy reconstruction: summing Deltas along any insertion order
-		// reaches Value of the final set (within float tolerance — the
-		// accumulation orders differ).
-		for _, order := range [][]graph.NodeID{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-			sum, cur := 0.0, []graph.NodeID(nil)
-			for _, v := range order {
-				sum += b.Delta(v, inSetOf(cur))
-				cur = append(cur, v)
+		// The positive-Edge neighbours meet the bound exactly (same
+		// accumulation order); without a negative entry, so does S ⊇ N(v).
+		var positive []graph.NodeID
+		negative := false
+		for p := off[v]; p < off[v+1]; p++ {
+			if edge[p] > 0 {
+				positive = append(positive, nbr[p])
 			}
-			if want := b.Value(order); math.Abs(sum-want) > 1e-12*math.Max(1, math.Abs(want)) {
-				t.Errorf("%s: Σ Delta along %v = %v, Value = %v", obj.Name(), order, sum, want)
-			}
+			negative = negative || edge[p] < 0
+		}
+		if d := b.Delta(v, inSetOf(positive)); d != bound {
+			t.Errorf("%s: Delta(%d | %v) = %v != Bound = %v", name, v, positive, d, bound)
+		}
+		if d := b.Delta(v, func(graph.NodeID) bool { return true }); !negative && d != bound {
+			t.Errorf("%s: Delta(%d | V) = %v != Bound = %v", name, v, d, bound)
+		}
+	}
+	// Greedy reconstruction: summing Deltas along any insertion order
+	// reaches Value of the final set (within float tolerance — the
+	// accumulation orders differ).
+	for _, order := range [][]graph.NodeID{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
+		sum, cur := 0.0, []graph.NodeID(nil)
+		for _, v := range order {
+			sum += b.Delta(v, inSetOf(cur))
+			cur = append(cur, v)
+		}
+		if want := b.Value(order); math.Abs(sum-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s: Σ Delta along %v = %v, Value = %v", name, order, sum, want)
 		}
 	}
 }

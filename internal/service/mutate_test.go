@@ -88,11 +88,35 @@ func reportsEqual(a, b core.Report) bool {
 	return true
 }
 
+// checkMutationCounters requires that the batches Mutate applied since
+// the snapshot before raised waso_graph_mutations_total by one each, and
+// waso_wal_appends_total by one each on a durable service, by none on a
+// memory-only one.
+func checkMutationCounters(t *testing.T, s *Service, before map[string]float64, batches int, durable bool) {
+	t.Helper()
+	after := s.Metrics().Snapshot()
+	delta := func(name string) float64 { return after[name] - before[name] }
+	appends := 0
+	if durable {
+		appends = batches
+		if d := delta("waso_wal_append_bytes_total"); d <= 0 {
+			t.Errorf("waso_wal_append_bytes_total rose by %v, want > 0", d)
+		}
+	}
+	if d := delta("waso_graph_mutations_total"); d != float64(batches) {
+		t.Errorf("waso_graph_mutations_total rose by %v, want %d", d, batches)
+	}
+	if d := delta("waso_wal_appends_total"); d != float64(appends) {
+		t.Errorf("waso_wal_appends_total rose by %v, want %d", d, appends)
+	}
+}
+
 // TestMutateInvariance is the correctness core of mutable serving: solves
 // against a graph that reached its state through a chain of PATCHes are
 // bit-identical to solves against a fresh upload of the same state — the
 // delta-updated ranking and surgically invalidated caches are
-// indistinguishable from rebuilt ones.
+// indistinguishable from rebuilt ones. Each batch counts as one mutation,
+// and a memory-only service appends none to a WAL.
 func TestMutateInvariance(t *testing.T) {
 	const n = 120
 	ctx := context.Background()
@@ -100,6 +124,7 @@ func TestMutateInvariance(t *testing.T) {
 	if _, err := s.Load("g", pathGraph(t, n), "test"); err != nil {
 		t.Fatal(err)
 	}
+	before := s.Metrics().Snapshot()
 	for i, muts := range mutationBatches(n) {
 		info, err := s.Mutate(ctx, "g", muts, -1)
 		if err != nil {
@@ -112,6 +137,7 @@ func TestMutateInvariance(t *testing.T) {
 			t.Fatalf("mutate %d: resident_bytes not reported", i)
 		}
 	}
+	checkMutationCounters(t, s, before, len(mutationBatches(n)), false)
 	mutated, info, err := s.Get("g")
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +331,9 @@ func TestEvictDuringSolveAndMutate(t *testing.T) {
 }
 
 // TestServiceRecovery: the full durable loop through the service — load,
-// mutate past the snapshot cadence, restart on the same data dir, recover,
-// and solve bit-identically to the pre-restart state.
+// mutate past the snapshot cadence (one WAL append per batch), restart on
+// the same data dir, recover, and solve bit-identically to the
+// pre-restart state.
 func TestServiceRecovery(t *testing.T) {
 	const n = 120
 	ctx := context.Background()
@@ -319,11 +346,13 @@ func TestServiceRecovery(t *testing.T) {
 	if _, err := s.Load("g", pathGraph(t, n), "test"); err != nil {
 		t.Fatal(err)
 	}
+	before := s.Metrics().Snapshot()
 	for i, muts := range mutationBatches(n) {
 		if _, err := s.Mutate(ctx, "g", muts, -1); err != nil {
 			t.Fatalf("mutate %d: %v", i, err)
 		}
 	}
+	checkMutationCounters(t, s, before, len(mutationBatches(n)), true)
 	if got := st.Stats().Snapshots; got < 2 {
 		t.Fatalf("snapshot cadence never fired: %d snapshots", got)
 	}

@@ -129,6 +129,8 @@ func TestMaxNodes(t *testing.T) {
 // solver directly. Pruned is advisory (schedule-dependent under the shared
 // incumbent) and deliberately not compared. Repeated service solves
 // exercise workspace reuse: the second pass must reproduce the first.
+// Every service solve is one job on the service's executor, with one
+// queue-wait observation, and draws its workspaces from the graph's pool.
 func TestSolveMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	s := newTestService(t, Config{})
@@ -142,6 +144,7 @@ func TestSolveMatchesDirect(t *testing.T) {
 	req := core.DefaultRequest(10)
 	req.Samples = 40
 	req.Seed = 7
+	before := s.Metrics().Snapshot()
 	for _, algo := range solver.Names() {
 		got, err := s.Solve(ctx, "g", algo, req)
 		if err != nil {
@@ -166,6 +169,16 @@ func TestSolveMatchesDirect(t *testing.T) {
 		if !again.Best.Equal(want.Best) || again.Best.Willingness != want.Best.Willingness {
 			t.Errorf("%s: pooled rerun %v != direct %v", algo, again.Best, want.Best)
 		}
+	}
+	after := s.Metrics().Snapshot()
+	solves := float64(2 * len(solver.Names()))
+	for _, name := range []string{"waso_executor_jobs_total", "waso_executor_queue_wait_seconds_count"} {
+		if d := after[name] - before[name]; d != solves {
+			t.Errorf("%s rose by %v over %v solves, want one per solve", name, d, solves)
+		}
+	}
+	if d := after["waso_workspace_pool_gets_total"] - before["waso_workspace_pool_gets_total"]; d <= 0 {
+		t.Errorf("waso_workspace_pool_gets_total rose by %v, want > 0", d)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -177,9 +178,34 @@ func richCliqueGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// signedGraph builds a random graph with n in [12, 31], edge probability
+// 0.35, η uniform in [0, 2) and symmetric τ uniform in [-2.5, 1.5), so
+// that many fused edge weights are negative.
+func signedGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
+	t.Helper()
+	n := 12 + rnd.Intn(20)
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.SetInterest(graph.NodeID(i), 2*rnd.Float64())
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rnd.Float64() < 0.35 {
+				b.AddEdgeSym(graph.NodeID(u), graph.NodeID(v), -2.5+4*rnd.Float64())
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestPruningInvariance: pruning only skips samples that provably cannot
 // beat the incumbent, so it must not change the answer — only the
-// counters.
+// counters. That holds on graphs with negative τ too, whose negative edge
+// gains the bound must not count.
 func TestPruningInvariance(t *testing.T) {
 	ctx := context.Background()
 	g := richCliqueGraph(t)
@@ -205,6 +231,26 @@ func TestPruningInvariance(t *testing.T) {
 		}
 		if s.Name() == "cbas" && on.Pruned == 0 {
 			t.Errorf("cbas: expected the bound to prune some uniform samples on the rich-clique instance")
+		}
+	}
+
+	rnd := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		g := signedGraph(t, rnd)
+		for _, s := range []Solver{CBAS{}, CBASND{}} {
+			r := req(5, func(r *core.Request) { r.Starts = 4; r.Samples = 30; r.Seed = uint64(i); r.Workers = 1 })
+			on, err := s.Solve(ctx, g, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Prune = false
+			off, err := s.Solve(ctx, g, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !on.Best.Equal(off.Best) || on.Best.Willingness != off.Best.Willingness {
+				t.Errorf("%s, signed graph %d: pruning changed the result: %v vs %v", s.Name(), i, on.Best, off.Best)
+			}
 		}
 	}
 }
