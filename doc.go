@@ -119,11 +119,13 @@
 //	          and the lint tests imports it, and it imports nothing from
 //	          the tower.
 //
-// gen (synthetic instances, §5) feeds graphs into cmd and service;
-// sampling/rng/bitset/stats/metrics are the shared substrate — metrics
-// being the dependency-free streaming-stats core (counters, gauges,
-// Welford moments, fixed-boundary histograms, Prometheus text
-// rendering) that solver and service instrument themselves with.
+// gen (synthetic instances under the paper's one score model, §5) feeds
+// graphs into cmd and service. sampling, rng and bitset are the solvers'
+// substrate; stats is the batch mean/stddev/min-max and table formatting
+// of cmd/waso; metrics is the dependency-free streaming-stats core
+// (counters, gauges, Welford mean/stddev, fixed-boundary histograms,
+// Prometheus text rendering) that solver and service instrument
+// themselves with.
 //
 // This root package carries no code — only repo-level documentation and
 // cross-package benchmarks such as BenchmarkSamplerCrossover.

@@ -2,16 +2,13 @@
 // O(1) membership tests on partial solutions and expansion frontiers.
 //
 // The solvers build thousands of random k-node samples per run; a bitset
-// plus an epoch-based sparse reset (clearing only the bits that were set)
-// keeps per-sample overhead at O(k + frontier) instead of O(n).
+// plus a sparse reset (ClearList clears only the bits that were set) keeps
+// per-sample overhead at O(k + frontier) instead of O(n).
 package bitset
-
-import "math/bits"
 
 // Set is a fixed-capacity bitset over [0, n).
 type Set struct {
 	words []uint64
-	n     int
 }
 
 // New returns a Set with capacity n bits, all clear.
@@ -19,11 +16,8 @@ func New(n int) *Set {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return &Set{words: make([]uint64, (n+63)/64)}
 }
-
-// Len reports the capacity in bits.
-func (s *Set) Len() int { return s.n }
 
 // Add sets bit i.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -34,80 +28,10 @@ func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Contains reports whether bit i is set.
 func (s *Set) Contains(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clear resets every bit. O(n/64).
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // ClearList clears exactly the listed bits — O(len(list)); the sparse-reset
 // path the solvers use between samples.
 func (s *Set) ClearList(list []int32) {
 	for _, i := range list {
 		s.Remove(int(i))
 	}
-}
-
-// ForEach calls f for every set bit in ascending order; stops early if f
-// returns false.
-func (s *Set) ForEach(f func(i int) bool) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !f(wi<<6 + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// Union sets s = s ∪ o. Panics if capacities differ.
-func (s *Set) Union(o *Set) {
-	if s.n != o.n {
-		panic("bitset: capacity mismatch")
-	}
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// Intersect sets s = s ∩ o. Panics if capacities differ.
-func (s *Set) Intersect(o *Set) {
-	if s.n != o.n {
-		panic("bitset: capacity mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
-// Equal reports whether both sets contain exactly the same bits.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }

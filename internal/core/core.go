@@ -259,11 +259,6 @@ func NewSolution(nodes []graph.NodeID, w float64) Solution {
 // Size returns |F|.
 func (s Solution) Size() int { return len(s.Nodes) }
 
-// Clone returns a deep copy.
-func (s Solution) Clone() Solution {
-	return Solution{Nodes: append([]graph.NodeID(nil), s.Nodes...), Willingness: s.Willingness}
-}
-
 // Better reports whether s strictly dominates o for incumbent selection:
 // higher willingness wins; on exact ties the lexicographically smaller node
 // set wins, which keeps multi-start reduction order-independent.

@@ -1,8 +1,7 @@
 // Package gen produces the synthetic social networks the paper evaluates
 // on (§5): Erdős–Rényi random graphs and power-law graphs grown by
-// preferential attachment, with interest scores η and social-tightness
-// scores τ drawn from configurable distributions (the paper uses a
-// power law with exponent 2.5 for η, following Clauset et al.).
+// preferential attachment, with the paper's one score model: power-law
+// interest scores η and uniform social-tightness scores τ.
 //
 // All randomness derives from rng sub-streams labelled by role (structure,
 // interest, tightness), so a generated instance is fully reproducible from
@@ -25,92 +24,26 @@ const (
 	streamTightness
 )
 
-// DistKind enumerates the supported score distributions.
-type DistKind int
-
+// The paper's score model (§5): interest η follows a power law with
+// exponent 2.5 (Clauset et al.) above a floor of 0.1, and each directed
+// side of an edge draws its tightness τ uniformly from [0, 1).
 const (
-	// DistConst always yields A.
-	DistConst DistKind = iota
-	// DistUniform yields uniform values in [A, B).
-	DistUniform
-	// DistPowerLaw yields Pareto values with density ∝ x^(−A) for x ≥ B.
-	DistPowerLaw
-	// DistNormal yields Gaussian values with mean A and stddev B,
-	// truncated to be non-negative (scores are non-negative).
-	DistNormal
+	etaExponent = 2.5
+	etaMin      = 0.1
 )
 
-// Dist is a score distribution: a kind plus its two parameters.
-type Dist struct {
-	Kind DistKind
-	A, B float64
-}
-
-// Const returns the distribution that always yields v.
-func Const(v float64) Dist { return Dist{Kind: DistConst, A: v} }
-
-// Uniform returns the uniform distribution on [lo, hi).
-func Uniform(lo, hi float64) Dist { return Dist{Kind: DistUniform, A: lo, B: hi} }
-
-// PowerLaw returns the Pareto distribution with exponent beta and minimum
-// xmin — the paper's η distribution is PowerLaw(2.5, xmin).
-func PowerLaw(beta, xmin float64) Dist { return Dist{Kind: DistPowerLaw, A: beta, B: xmin} }
-
-// Normal returns the zero-truncated Gaussian with the given mean and
-// standard deviation.
-func Normal(mu, sigma float64) Dist { return Dist{Kind: DistNormal, A: mu, B: sigma} }
-
-// Sample draws one value from d.
-func (d Dist) Sample(r *rng.Stream) float64 {
-	switch d.Kind {
-	case DistUniform:
-		return d.A + r.Float64()*(d.B-d.A)
-	case DistPowerLaw:
-		return r.PowerLaw(d.A, d.B)
-	case DistNormal:
-		return r.TruncNormal(d.A, d.B, 0, d.A+6*d.B)
-	default:
-		return d.A
-	}
-}
-
-func (d Dist) String() string {
-	switch d.Kind {
-	case DistUniform:
-		return fmt.Sprintf("U[%g,%g)", d.A, d.B)
-	case DistPowerLaw:
-		return fmt.Sprintf("PL(β=%g,xmin=%g)", d.A, d.B)
-	case DistNormal:
-		return fmt.Sprintf("N(%g,%g)", d.A, d.B)
-	default:
-		return fmt.Sprintf("const %g", d.A)
-	}
-}
-
-// Scores bundles the η and τ distributions of an instance.
-type Scores struct {
-	Eta Dist // interest score η_i per node
-	Tau Dist // tightness score τ_{i,j} per directed edge side
-}
-
-// DefaultScores matches the paper's synthetic setup: power-law interest
-// (exponent 2.5) and uniform tightness in [0, 1).
-func DefaultScores() Scores {
-	return Scores{Eta: PowerLaw(2.5, 0.1), Tau: Uniform(0, 1)}
-}
-
-// sampleEta assigns every node an interest score from sc.Eta.
-func sampleEta(b *graph.Builder, sc Scores, root *rng.Stream) {
+// sampleEta assigns every node a power-law interest score.
+func sampleEta(b *graph.Builder, root *rng.Stream) {
 	eta := root.Split(streamInterest)
 	for i := 0; i < b.N(); i++ {
-		b.SetInterest(graph.NodeID(i), sc.Eta.Sample(eta))
+		b.SetInterest(graph.NodeID(i), eta.PowerLaw(etaExponent, etaMin))
 	}
 }
 
 // ErdosRenyi generates G(n, p): each of the n·(n−1)/2 node pairs is an
 // edge independently with probability p. Pair enumeration uses geometric
 // skipping, so generation costs O(n + m) rather than O(n²).
-func ErdosRenyi(n int, p float64, sc Scores, seed uint64) (*graph.Graph, error) {
+func ErdosRenyi(n int, p float64, seed uint64) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("gen: ErdosRenyi with negative n %d", n)
 	}
@@ -119,14 +52,13 @@ func ErdosRenyi(n int, p float64, sc Scores, seed uint64) (*graph.Graph, error) 
 	}
 	root := rng.New(seed)
 	b := graph.NewBuilder(n)
-	sampleEta(b, sc, root)
+	sampleEta(b, root)
 	if p > 0 && n > 1 {
 		structure := root.Split(streamStructure)
 		tau := root.Split(streamTightness)
 		cur := pairCursor{n: n, i: 0, j: 0} // j ≤ i means "before row i's first pair"
 		for cur.advance(geometric(structure, p)) {
-			b.AddEdge(graph.NodeID(cur.i), graph.NodeID(cur.j),
-				sc.Tau.Sample(tau), sc.Tau.Sample(tau))
+			b.AddEdge(graph.NodeID(cur.i), graph.NodeID(cur.j), tau.Float64(), tau.Float64())
 		}
 	}
 	return b.Build()
@@ -181,7 +113,7 @@ func (c *pairCursor) advance(steps int64) bool {
 // existing nodes chosen with probability proportional to their degree.
 // The resulting degree distribution follows a power law, matching the
 // paper's "power-law graphs generated by [2]" setup.
-func PreferentialAttachment(n, m int, sc Scores, seed uint64) (*graph.Graph, error) {
+func PreferentialAttachment(n, m int, seed uint64) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("gen: PreferentialAttachment with negative n %d", n)
 	}
@@ -190,11 +122,11 @@ func PreferentialAttachment(n, m int, sc Scores, seed uint64) (*graph.Graph, err
 	}
 	root := rng.New(seed)
 	b := graph.NewBuilder(n)
-	sampleEta(b, sc, root)
+	sampleEta(b, root)
 	structure := root.Split(streamStructure)
 	tau := root.Split(streamTightness)
 	addEdge := func(i, j graph.NodeID) {
-		b.AddEdge(i, j, sc.Tau.Sample(tau), sc.Tau.Sample(tau))
+		b.AddEdge(i, j, tau.Float64(), tau.Float64())
 	}
 
 	m0 := m + 1
@@ -202,8 +134,14 @@ func PreferentialAttachment(n, m int, sc Scores, seed uint64) (*graph.Graph, err
 		m0 = n
 	}
 	// endpoints lists every edge endpoint once; drawing a uniform element
-	// selects a node with probability ∝ degree.
-	endpoints := make([]graph.NodeID, 0, 2*m*n)
+	// selects a node with probability ∝ degree. It is sized by the edges
+	// added below: the seed ring, then m per later node. When m ≥ n−1 the
+	// graph is the ring alone, whatever m asks for.
+	ringEdges := max(m0-1, 0)
+	if m0 > 2 {
+		ringEdges++
+	}
+	endpoints := make([]graph.NodeID, 0, 2*(ringEdges+(n-m0)*m))
 	for v := 1; v < m0; v++ {
 		u := graph.NodeID(v - 1)
 		addEdge(u, graph.NodeID(v))
@@ -214,7 +152,8 @@ func PreferentialAttachment(n, m int, sc Scores, seed uint64) (*graph.Graph, err
 		endpoints = append(endpoints, graph.NodeID(m0-1), 0)
 	}
 
-	chosen := make(map[graph.NodeID]struct{}, m)
+	// The hint is capped at n: the loop runs only when m < n−1.
+	chosen := make(map[graph.NodeID]struct{}, min(m, n))
 	for v := m0; v < n; v++ { // v ≥ m0 = m+1, so m distinct targets always exist
 		clear(chosen)
 		targets := m

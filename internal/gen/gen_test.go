@@ -1,32 +1,16 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"waso/internal/graph"
-	"waso/internal/rng"
 )
 
-func TestDistSample(t *testing.T) {
-	r := rng.New(1)
-	for i := 0; i < 1000; i++ {
-		if v := Const(3.5).Sample(r); v != 3.5 {
-			t.Fatalf("Const sample %v", v)
-		}
-		if v := Uniform(2, 5).Sample(r); v < 2 || v >= 5 {
-			t.Fatalf("Uniform sample %v outside [2,5)", v)
-		}
-		if v := PowerLaw(2.5, 0.1).Sample(r); v < 0.1 {
-			t.Fatalf("PowerLaw sample %v below xmin", v)
-		}
-		if v := Normal(1, 0.5).Sample(r); v < 0 {
-			t.Fatalf("Normal sample %v negative", v)
-		}
-	}
-}
-
 func TestErdosRenyi(t *testing.T) {
-	g, err := ErdosRenyi(300, 0.03, DefaultScores(), 7)
+	g, err := ErdosRenyi(300, 0.03, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,21 +32,21 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestErdosRenyiExtremes(t *testing.T) {
-	g, err := ErdosRenyi(50, 0, DefaultScores(), 1)
+	g, err := ErdosRenyi(50, 0, 1)
 	if err != nil || g.M() != 0 {
 		t.Fatalf("p=0: M=%d err=%v", g.M(), err)
 	}
-	g, err = ErdosRenyi(30, 1, DefaultScores(), 1)
+	g, err = ErdosRenyi(30, 1, 1)
 	if err != nil || g.M() != 30*29/2 {
 		t.Fatalf("p=1: M=%d err=%v, want complete graph", g.M(), err)
 	}
-	if _, err := ErdosRenyi(10, 1.5, DefaultScores(), 1); err == nil {
+	if _, err := ErdosRenyi(10, 1.5, 1); err == nil {
 		t.Error("p=1.5 accepted")
 	}
-	if _, err := ErdosRenyi(-1, 0.5, DefaultScores(), 1); err == nil {
+	if _, err := ErdosRenyi(-1, 0.5, 1); err == nil {
 		t.Error("negative n accepted")
 	}
-	g, err = ErdosRenyi(0, 0.5, DefaultScores(), 1)
+	g, err = ErdosRenyi(0, 0.5, 1)
 	if err != nil || g.N() != 0 {
 		t.Fatalf("n=0: %v", err)
 	}
@@ -70,7 +54,7 @@ func TestErdosRenyiExtremes(t *testing.T) {
 
 func TestPreferentialAttachment(t *testing.T) {
 	const n, m = 200, 3
-	g, err := PreferentialAttachment(n, m, DefaultScores(), 13)
+	g, err := PreferentialAttachment(n, m, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +66,11 @@ func TestPreferentialAttachment(t *testing.T) {
 	if g.M() != wantM {
 		t.Errorf("M = %d, want %d", g.M(), wantM)
 	}
-	if len(g.LargestComponent()) != n {
+	all := make([]graph.NodeID, n)
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	if !g.Connected(all) {
 		t.Error("preferential-attachment graph must be connected")
 	}
 	for v := graph.NodeID(0); int(v) < n; v++ {
@@ -100,7 +88,7 @@ func TestPreferentialAttachment(t *testing.T) {
 	if maxDeg < 4*m {
 		t.Errorf("max degree %d suspiciously small for a power-law graph", maxDeg)
 	}
-	if _, err := PreferentialAttachment(10, 0, DefaultScores(), 1); err == nil {
+	if _, err := PreferentialAttachment(10, 0, 1); err == nil {
 		t.Error("m=0 accepted")
 	}
 }
@@ -120,18 +108,18 @@ func fingerprint(g *graph.Graph) float64 {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := PreferentialAttachment(150, 2, DefaultScores(), 99)
+	a, err := PreferentialAttachment(150, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PreferentialAttachment(150, 2, DefaultScores(), 99)
+	b, err := PreferentialAttachment(150, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.M() != b.M() || fingerprint(a) != fingerprint(b) {
 		t.Error("same seed produced different PA graphs")
 	}
-	c, err := PreferentialAttachment(150, 2, DefaultScores(), 100)
+	c, err := PreferentialAttachment(150, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +127,66 @@ func TestDeterminism(t *testing.T) {
 		t.Error("different seeds produced identical PA graphs")
 	}
 
-	d, err := ErdosRenyi(150, 0.05, DefaultScores(), 5)
+	d, err := ErdosRenyi(150, 0.05, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ErdosRenyi(150, 0.05, DefaultScores(), 5)
+	e, err := ErdosRenyi(150, 0.05, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.M() != e.M() || fingerprint(d) != fingerprint(e) {
 		t.Error("same seed produced different ER graphs")
+	}
+}
+
+// encodeHash returns the hex sha256 of the spec's graph in the binary codec.
+func encodeHash(t *testing.T, s Spec) string {
+	t.Helper()
+	g, err := s.Build()
+	if err != nil {
+		t.Fatalf("%v: %v", s, err)
+	}
+	h := sha256.New()
+	if err := graph.Encode(h, g); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPinnedBits pins the generators' output bit for bit: structure, η and
+// τ draws, and their order. The cmd/waso goldens would see a drift only
+// through the solvers' W.
+func TestPinnedBits(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: "powerlaw", N: 2000, AvgDeg: 6, Seed: 7}, "894d13f727a972b0d63b88464eac3b65b1c412f5fb48e356ae4325ac0c6d986b"},
+		{Spec{Kind: "er", N: 3000, AvgDeg: 3, Seed: 9}, "6f5c5709afe97495eed37e1b3b5f3491297a53b5f6917e574fc6a3c2d2533694"},
+	} {
+		if got := encodeHash(t, tc.spec); got != tc.want {
+			t.Errorf("%v: Encode sha256 = %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestPreferentialAttachmentRingOnly: with m ≥ n−1 the graph is the seed
+// ring alone, so it must equal the m = n−1 graph and cost no more than it,
+// however large m is.
+func TestPreferentialAttachmentRingOnly(t *testing.T) {
+	huge := Spec{Kind: "powerlaw", N: 100, AvgDeg: 2e5, Seed: 3}
+	want := encodeHash(t, Spec{Kind: "powerlaw", N: 100, AvgDeg: 198, Seed: 3})
+	if got := encodeHash(t, huge); got != want {
+		t.Errorf("avgdeg %g: Encode sha256 = %s, want the avgdeg 198 graph's %s", huge.AvgDeg, got, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := huge.Build(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Errorf("building a 100-node ring allocated %d bytes, want under 1 MiB", d)
 	}
 }

@@ -17,7 +17,7 @@ type Spec struct {
 	Seed   uint64  `json:"seed"`   // instance seed
 }
 
-// Build generates the instance with the paper-default score distributions.
+// Build generates the instance under the paper's score model.
 func (s Spec) Build() (*graph.Graph, error) {
 	if math.IsNaN(s.AvgDeg) || math.IsInf(s.AvgDeg, 0) || s.AvgDeg < 0 {
 		return nil, fmt.Errorf("gen: average degree must be finite and ≥ 0, got %v", s.AvgDeg)
@@ -28,7 +28,7 @@ func (s Spec) Build() (*graph.Graph, error) {
 		if m < 1 {
 			m = 1
 		}
-		return PreferentialAttachment(s.N, m, DefaultScores(), s.Seed)
+		return PreferentialAttachment(s.N, m, s.Seed)
 	case "er", "gnp":
 		p := 0.0
 		if s.N > 1 {
@@ -37,7 +37,7 @@ func (s Spec) Build() (*graph.Graph, error) {
 		if p > 1 {
 			p = 1
 		}
-		return ErdosRenyi(s.N, p, DefaultScores(), s.Seed)
+		return ErdosRenyi(s.N, p, s.Seed)
 	default:
 		return nil, fmt.Errorf("gen: unknown generator %q (want powerlaw or er)", s.Kind)
 	}

@@ -28,9 +28,7 @@ import (
 // willingness) — plus one per-node gain; the region itself knows nothing
 // about what they mean.
 type Region struct {
-	start      NodeID // global id of the start node
-	localStart NodeID // its dense local id
-	radius     int
+	localStart NodeID // dense local id of the start node
 
 	toGlobal []NodeID  // local id -> global id, strictly ascending
 	off      []int64   // local CSR offsets, len N()+1
@@ -45,14 +43,8 @@ func (r *Region) N() int { return len(r.node) }
 // M returns the number of undirected edges inside the region.
 func (r *Region) M() int { return len(r.nbr) / 2 }
 
-// Start returns the global id of the start node the region was built for.
-func (r *Region) Start() NodeID { return r.start }
-
 // LocalStart returns the start node's dense local id.
 func (r *Region) LocalStart() NodeID { return r.localStart }
-
-// Radius returns the hop bound the region was extracted with.
-func (r *Region) Radius() int { return r.radius }
 
 // GlobalIDs returns the local→global id mapping in local id order (which
 // is also ascending global id order). The slice aliases internal storage.
@@ -166,9 +158,7 @@ bfs:
 		}
 	}
 	r := &Region{
-		start:      start,
 		localStart: NodeID(rb.localOf[start]),
-		radius:     radius,
 		toGlobal:   ball,
 		off:        off,
 		nbr:        nbr,
@@ -179,15 +169,6 @@ bfs:
 		rb.localOf[v] = -1
 	}
 	return r
-}
-
-// ExtractRegion is the one-shot convenience over NewRegionBuilder+Extract,
-// carrying the graph's own fused τ_out+τ_in and η slabs (the willingness
-// objective's arrays). Callers extracting many regions from one graph, or
-// under a different objective, should hold a RegionBuilder (or a
-// solver.RegionCache) instead.
-func (g *Graph) ExtractRegion(start NodeID, radius, maxNodes int) *Region {
-	return NewRegionBuilder(g).Extract(start, radius, maxNodes, g.wSum, g.interest)
 }
 
 // HopDistances runs a multi-source BFS from sources and returns the hop

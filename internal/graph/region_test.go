@@ -28,7 +28,7 @@ func twoComponentGraph(t *testing.T) *Graph {
 // checkRegionMatchesSubgraph verifies a region against the independently
 // built induced subgraph of the same node set (Subgraph uses the same
 // monotone remap).
-func checkRegionMatchesSubgraph(t *testing.T, g *Graph, r *Region, wantBall []NodeID) {
+func checkRegionMatchesSubgraph(t *testing.T, g *Graph, r *Region, start NodeID, wantBall []NodeID) {
 	t.Helper()
 	if !slices.Equal(r.GlobalIDs(), wantBall) {
 		t.Fatalf("region ball = %v, want %v", r.GlobalIDs(), wantBall)
@@ -36,9 +36,9 @@ func checkRegionMatchesSubgraph(t *testing.T, g *Graph, r *Region, wantBall []No
 	if !slices.IsSorted(r.GlobalIDs()) {
 		t.Fatalf("region ids not ascending: %v", r.GlobalIDs())
 	}
-	if r.GlobalIDs()[r.LocalStart()] != r.Start() {
+	if r.GlobalIDs()[r.LocalStart()] != start {
 		t.Fatalf("localStart %d maps to %d, want start %d",
-			r.LocalStart(), r.GlobalIDs()[r.LocalStart()], r.Start())
+			r.LocalStart(), r.GlobalIDs()[r.LocalStart()], start)
 	}
 	sub, mapping := g.Subgraph(wantBall)
 	if !slices.Equal(mapping, r.GlobalIDs()) {
@@ -76,29 +76,26 @@ func TestRegionExtraction(t *testing.T) {
 
 	// Ball strictly smaller than the component: radius 2 around node 2.
 	r := extract(rb, 2, 2, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{0, 1, 2, 3, 4})
-	if r.Radius() != 2 || r.Start() != 2 {
-		t.Errorf("radius/start = %d/%d", r.Radius(), r.Start())
-	}
+	checkRegionMatchesSubgraph(t, g, r, 2, []NodeID{0, 1, 2, 3, 4})
 
 	// Ball equal to the component: radius ≥ diameter saturates at the
 	// component, never spills into other components.
 	r = extract(rb, 0, 5, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{0, 1, 2, 3, 4, 5})
+	checkRegionMatchesSubgraph(t, g, r, 0, []NodeID{0, 1, 2, 3, 4, 5})
 	r = extract(rb, 0, 50, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{0, 1, 2, 3, 4, 5})
+	checkRegionMatchesSubgraph(t, g, r, 0, []NodeID{0, 1, 2, 3, 4, 5})
 
 	// Radius far larger than a small component: the ball is the component.
 	r = extract(rb, 7, 50, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{6, 7})
+	checkRegionMatchesSubgraph(t, g, r, 7, []NodeID{6, 7})
 
 	// Radius 0: the start alone.
 	r = extract(rb, 3, 0, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{3})
+	checkRegionMatchesSubgraph(t, g, r, 3, []NodeID{3})
 
 	// Isolated node.
 	r = extract(rb, 8, 10, g.N())
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{8})
+	checkRegionMatchesSubgraph(t, g, r, 8, []NodeID{8})
 }
 
 // TestRegionCap: a ball that would exceed maxNodes yields nil, and the
@@ -115,10 +112,10 @@ func TestRegionCap(t *testing.T) {
 	// Scratch must be fully reset: the same extraction with room succeeds
 	// and sees the full ball.
 	r := extract(rb, 2, 2, 5)
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{0, 1, 2, 3, 4})
+	checkRegionMatchesSubgraph(t, g, r, 2, []NodeID{0, 1, 2, 3, 4})
 	// An exact-size cap is not an overflow.
 	r = extract(rb, 7, 50, 2)
-	checkRegionMatchesSubgraph(t, g, r, []NodeID{6, 7})
+	checkRegionMatchesSubgraph(t, g, r, 7, []NodeID{6, 7})
 }
 
 // TestRegionRandomized cross-checks Extract against a straightforward
@@ -148,7 +145,7 @@ func TestRegionRandomized(t *testing.T) {
 			radius := rng.Intn(5)
 			want := referenceBall(g, start, radius)
 			r := extract(rb, start, radius, g.N())
-			checkRegionMatchesSubgraph(t, g, r, want)
+			checkRegionMatchesSubgraph(t, g, r, start, want)
 		}
 	}
 }

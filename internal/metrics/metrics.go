@@ -7,10 +7,7 @@
 // The accumulators are streaming by construction: every instrument is O(1)
 // memory regardless of how many observations it absorbs, so a server that
 // answers millions of solves never buffers samples to summarize them. The
-// moments recursion follows the numerically stable higher-order form of
-// Welford's algorithm (Pébay / johndcook.com skewness_kurtosis shape), the
-// same accumulator family the scale-adaptive budgeting follow-up (SAGA)
-// needs as its per-algorithm runtime/quality signal.
+// moments recursion is Welford's numerically stable mean/variance update.
 //
 // Layering: metrics sits beside bitset/rng/stats as shared substrate — it
 // imports only the standard library and is imported by solver, service and
@@ -59,18 +56,17 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Moments is a streaming accumulator of the first four central moments of
-// a distribution, plus its extrema: O(1) memory, numerically stable under
-// millions of observations (Welford's algorithm extended to higher moments
-// per Pébay). It answers mean/stddev/skewness/kurtosis without ever
-// holding the samples — the quality-distribution instrument behind the
-// per-algorithm willingness and group-size series. Safe for concurrent
-// use; NaN observations are dropped.
+// Moments is a streaming accumulator of the mean and variance of a
+// distribution, plus its extrema: O(1) memory, numerically stable under
+// millions of observations (Welford's algorithm). It answers count, mean,
+// stddev, min and max without ever holding the samples — the
+// quality-distribution instrument behind the per-algorithm willingness and
+// group-size series. Safe for concurrent use; NaN observations are dropped.
 type Moments struct {
-	mu             sync.Mutex
-	n              uint64
-	m1, m2, m3, m4 float64
-	min, max       float64
+	mu       sync.Mutex
+	n        uint64
+	m1, m2   float64
+	min, max float64
 }
 
 // Observe folds one value into the moments.
@@ -84,12 +80,8 @@ func (m *Moments) Observe(v float64) {
 	n := float64(m.n)
 	delta := v - m.m1
 	deltaN := delta / n
-	deltaN2 := deltaN * deltaN
-	term1 := delta * deltaN * n1
 	m.m1 += deltaN
-	m.m4 += term1*deltaN2*(n*n-3*n+3) + 6*deltaN2*m.m2 - 4*deltaN*m.m3
-	m.m3 += term1*deltaN*(n-2) - 3*deltaN*m.m2
-	m.m2 += term1
+	m.m2 += delta * deltaN * n1
 	if m.n == 1 || v < m.min {
 		m.min = v
 	}
@@ -101,13 +93,12 @@ func (m *Moments) Observe(v float64) {
 
 // MomentsSnapshot is one consistent read of a Moments accumulator.
 // StdDev is the population standard deviation (√(m2/n)), matching the
-// convention of the experiment harness's stats package. Skewness and
-// Kurtosis (excess) are 0 whenever they are undefined (fewer than two
-// samples, or zero variance).
+// convention of the experiment harness's stats package; it is 0 for fewer
+// than two samples.
 type MomentsSnapshot struct {
-	Count                            uint64
-	Mean, StdDev, Skewness, Kurtosis float64
-	Min, Max                         float64
+	Count        uint64
+	Mean, StdDev float64
+	Min, Max     float64
 }
 
 // Snapshot returns a consistent copy of the accumulated moments.
@@ -115,11 +106,8 @@ func (m *Moments) Snapshot() MomentsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := MomentsSnapshot{Count: m.n, Mean: m.m1, Min: m.min, Max: m.max}
-	n := float64(m.n)
 	if m.n >= 2 && m.m2 > 0 {
-		s.StdDev = math.Sqrt(m.m2 / n)
-		s.Skewness = math.Sqrt(n) * m.m3 / math.Pow(m.m2, 1.5)
-		s.Kurtosis = n*m.m4/(m.m2*m.m2) - 3
+		s.StdDev = math.Sqrt(m.m2 / float64(m.n))
 	}
 	return s
 }

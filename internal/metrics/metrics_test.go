@@ -69,13 +69,42 @@ func TestMomentsEdgeCases(t *testing.T) {
 	if s.Count != 1 || s.Mean != 3 || s.StdDev != 0 || s.Min != 3 || s.Max != 3 {
 		t.Errorf("single-sample snapshot = %+v", s)
 	}
-	// Constant stream: zero variance must not produce NaN skew/kurtosis.
+	// Constant stream: zero variance must read as a zero stddev.
 	for i := 0; i < 10; i++ {
 		m.Observe(3)
 	}
 	s = m.Snapshot()
-	if s.StdDev != 0 || s.Skewness != 0 || s.Kurtosis != 0 {
+	if s.StdDev != 0 {
 		t.Errorf("constant-stream snapshot = %+v", s)
+	}
+}
+
+// TestMomentsPrecision: a small spread on a large offset, where the
+// one-pass Σx² form cancels catastrophically. Each case observes 10^5
+// values offset + U[0,1) and compares StdDev with the two-pass stddev of
+// x − offset; every such subtraction is exact (Sterbenz), so the reference
+// carries only the two-pass rounding of values in [0, 1).
+func TestMomentsPrecision(t *testing.T) {
+	const n = 100000
+	for _, tc := range []struct {
+		offset, maxRelErr float64
+	}{
+		{1e6, 1e-6},
+		{1e9, 1e-6},
+	} {
+		r := rng.New(3)
+		shifted := make([]float64, n)
+		var m Moments
+		for i := range shifted {
+			x := tc.offset + r.Float64()
+			m.Observe(x)
+			shifted[i] = x - tc.offset
+		}
+		want := stats.StdDev(shifted)
+		got := m.Snapshot().StdDev
+		if rel := math.Abs(got-want) / want; !(rel <= tc.maxRelErr) {
+			t.Errorf("offset %g: StdDev = %v, want %v (relative error %.3g > %g)", tc.offset, got, want, rel, tc.maxRelErr)
+		}
 	}
 }
 

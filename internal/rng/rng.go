@@ -68,42 +68,3 @@ func (s *Stream) PowerLaw(beta, xmin float64) float64 {
 	// Inverse-CDF sampling: F(x) = 1 - (x/xmin)^(1-beta).
 	return xmin * math.Pow(1-u, -1/(beta-1))
 }
-
-// Normal draws from a Gaussian with the given mean and standard deviation.
-func (s *Stream) Normal(mu, sigma float64) float64 {
-	return mu + sigma*s.NormFloat64()
-}
-
-// TruncNormal draws from a Gaussian truncated to [lo, hi] by rejection.
-// Used by the user-study simulator for the λ preference distribution.
-func (s *Stream) TruncNormal(mu, sigma, lo, hi float64) float64 {
-	if lo > hi {
-		panic("rng: TruncNormal requires lo <= hi")
-	}
-	for i := 0; i < 1024; i++ {
-		x := s.Normal(mu, sigma)
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	// Pathological parameters: fall back to a uniform draw in range.
-	return lo + s.Float64()*(hi-lo)
-}
-
-// Bernoulli reports true with probability p.
-func (s *Stream) Bernoulli(p float64) bool {
-	return s.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n) drawn from this stream.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.IntN(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -124,116 +123,6 @@ func TestPowerLawPanics(t *testing.T) {
 			}()
 			s.PowerLaw(tc.beta, tc.xmin)
 		}()
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(5)
-	n := 100000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := s.Normal(3.0, 2.0)
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if math.Abs(mean-3.0) > 0.05 {
-		t.Errorf("mean = %.3f, want 3.0 ± 0.05", mean)
-	}
-	if math.Abs(variance-4.0) > 0.15 {
-		t.Errorf("variance = %.3f, want 4.0 ± 0.15", variance)
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	s := New(8)
-	for i := 0; i < 10000; i++ {
-		x := s.TruncNormal(0.5, 0.07, 0.37, 0.66)
-		if x < 0.37 || x > 0.66 {
-			t.Fatalf("TruncNormal escaped its bounds: %v", x)
-		}
-	}
-}
-
-func TestTruncNormalPathological(t *testing.T) {
-	s := New(8)
-	// Mean far outside a narrow interval: rejection nearly always fails, the
-	// uniform fallback must still respect the bounds.
-	x := s.TruncNormal(100, 0.001, 0, 1)
-	if x < 0 || x > 1 {
-		t.Fatalf("fallback draw out of bounds: %v", x)
-	}
-}
-
-func TestBernoulliFrequency(t *testing.T) {
-	s := New(2)
-	n := 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if s.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / float64(n)
-	if math.Abs(p-0.3) > 0.01 {
-		t.Errorf("Bernoulli(0.3) frequency = %.4f", p)
-	}
-}
-
-func TestBernoulliExtremes(t *testing.T) {
-	s := New(2)
-	for i := 0; i < 1000; i++ {
-		if s.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !s.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(4)
-	cfg := &quick.Config{MaxCount: 50}
-	f := func(raw uint8) bool {
-		n := int(raw%64) + 1
-		p := s.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPermUniformish(t *testing.T) {
-	// Position of element 0 should be roughly uniform across indexes.
-	s := New(10)
-	const n, trials = 8, 40000
-	counts := make([]int, n)
-	for i := 0; i < trials; i++ {
-		p := s.Perm(n)
-		for idx, v := range p {
-			if v == 0 {
-				counts[idx]++
-			}
-		}
-	}
-	want := float64(trials) / n
-	for idx, c := range counts {
-		if math.Abs(float64(c)-want) > want*0.1 {
-			t.Errorf("element 0 at position %d: %d draws, want ≈ %.0f", idx, c, want)
-		}
 	}
 }
 

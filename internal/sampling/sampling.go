@@ -165,41 +165,3 @@ func (f *Fenwick) Sample(r *rng.Stream) (int, error) {
 	}
 	return idx, nil
 }
-
-// Reservoir maintains a uniform random sample of size k over a stream of
-// items presented one at a time (Vitter's algorithm R). The dataset
-// generators use it to pick representative node subsets.
-type Reservoir struct {
-	k      int
-	seen   int
-	sample []int32
-	r      *rng.Stream
-}
-
-// NewReservoir returns a reservoir of capacity k drawing randomness from r.
-func NewReservoir(k int, r *rng.Stream) *Reservoir {
-	if k <= 0 {
-		panic("sampling: reservoir capacity must be positive")
-	}
-	return &Reservoir{k: k, sample: make([]int32, 0, k), r: r}
-}
-
-// Offer presents one item to the reservoir.
-func (rv *Reservoir) Offer(item int32) {
-	rv.seen++
-	if len(rv.sample) < rv.k {
-		rv.sample = append(rv.sample, item)
-		return
-	}
-	j := rv.r.IntN(rv.seen)
-	if j < rv.k {
-		rv.sample[j] = item
-	}
-}
-
-// Sample returns the current sample (at most k items, fewer if fewer were
-// offered). The returned slice aliases internal state.
-func (rv *Reservoir) Sample() []int32 { return rv.sample }
-
-// Seen reports how many items have been offered.
-func (rv *Reservoir) Seen() int { return rv.seen }

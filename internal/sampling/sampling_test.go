@@ -278,46 +278,3 @@ func TestQuickFenwickResetReuse(t *testing.T) {
 		f.Reset(n)
 	}
 }
-
-func TestReservoirUniform(t *testing.T) {
-	r := rng.New(8)
-	const n, k, trials = 20, 5, 20000
-	counts := make([]int, n)
-	for trial := 0; trial < trials; trial++ {
-		rv := NewReservoir(k, r)
-		for i := int32(0); i < n; i++ {
-			rv.Offer(i)
-		}
-		for _, item := range rv.Sample() {
-			counts[item]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > want*0.08 {
-			t.Errorf("item %d sampled %d times, want ≈ %.0f", i, c, want)
-		}
-	}
-}
-
-func TestReservoirFewerThanK(t *testing.T) {
-	r := rng.New(9)
-	rv := NewReservoir(10, r)
-	rv.Offer(1)
-	rv.Offer(2)
-	if got := len(rv.Sample()); got != 2 {
-		t.Fatalf("sample size = %d, want 2", got)
-	}
-	if rv.Seen() != 2 {
-		t.Fatalf("Seen = %d, want 2", rv.Seen())
-	}
-}
-
-func TestReservoirInvalidCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewReservoir(0) did not panic")
-		}
-	}()
-	NewReservoir(0, rng.New(1))
-}

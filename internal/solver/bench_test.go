@@ -13,7 +13,7 @@ import (
 
 func benchGraph(b *testing.B, n int) *graph.Graph {
 	b.Helper()
-	g, err := gen.PreferentialAttachment(n, 4, gen.DefaultScores(), 1)
+	g, err := gen.PreferentialAttachment(n, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func BenchmarkLargeGraph(b *testing.B) {
 // randomized solver) without the multi-start scaffolding.
 func BenchmarkGrowth(b *testing.B) {
 	g := benchGraph(b, 1000)
-	start := PickStarts(context.Background(), g, 1)[0]
 	prep := testPrep(g)
+	start := prep.Starts(1)[0]
 	for _, mode := range []string{"uniform", "weighted-linear", "weighted-fenwick", "greedy"} {
 		b.Run(mode, func(b *testing.B) {
 			r := core.DefaultRequest(10)

@@ -206,7 +206,8 @@ func TestRegionCacheCloneFor(t *testing.T) {
 	if r == nil || nc.Stats().Hits != h0+1 {
 		t.Fatalf("retained entry was not a cache hit (hits %d -> %d)", h0, nc.Stats().Hits)
 	}
-	fresh := g2.ExtractRegion(5, radius, g2.N())
+	_, _, edge, node := testBind(g2).CSR()
+	fresh := graph.NewRegionBuilder(g2).Extract(5, radius, g2.N(), edge, node)
 	gotOff, gotNbr, gotW, gotEta := r.CSR()
 	wantOff, wantNbr, wantW, wantEta := fresh.CSR()
 	if len(gotNbr) != len(wantNbr) || len(gotEta) != len(wantEta) {

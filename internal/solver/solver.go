@@ -456,26 +456,6 @@ func prepFor(ctx context.Context, g *graph.Graph, obj objective.Objective, req c
 	return newPartialPrep(objective.Bind(obj, g), max(req.K, req.Starts))
 }
 
-// PickStarts returns the s best start candidates under the default
-// willingness objective: nodes ranked by bound score descending (ties
-// broken by ascending id), per CBAS phase 1 (§3.1). A context carrying a
-// willingness Prep for g (WithPrep) answers from the resident ranking;
-// otherwise only the top s nodes are selected — no full-graph sort, no
-// throwaway Prep. The result is a copy the caller may keep; internal
-// callers read Prep.Starts directly and copy nothing.
-//
-//lint:allow ctxcheck(single bounded O(n + s log s) ranking pass with no cancellation points)
-func PickStarts(ctx context.Context, g *graph.Graph, s int) []graph.NodeID {
-	if p, ok := ctxPrep(ctx, g, objective.Default); ok {
-		return append([]graph.NodeID(nil), p.Starts(s)...)
-	}
-	obj, err := objective.New(objective.Default)
-	if err != nil {
-		panic("solver: default objective not registered: " + err.Error())
-	}
-	return append([]graph.NodeID(nil), newPartialPrep(objective.Bind(obj, g), s).Starts(s)...)
-}
-
 // ---------------------------------------------------------------------------
 // Shared incumbent
 

@@ -18,7 +18,7 @@ import (
 
 func powerlawInstance(t testing.TB, n int, seed uint64) *graph.Graph {
 	t.Helper()
-	g, err := gen.PreferentialAttachment(n, 4, gen.DefaultScores(), seed)
+	g, err := gen.PreferentialAttachment(n, 4, seed)
 	if err != nil {
 		t.Fatalf("PreferentialAttachment: %v", err)
 	}
@@ -178,20 +178,18 @@ func richCliqueGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// signedGraph builds a random graph with n in [12, 31], edge probability
-// 0.35, η uniform in [0, 2) and symmetric τ uniform in [-2.5, 1.5), so
-// that many fused edge weights are negative.
-func signedGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
+// randomGraph builds a graph on n nodes: η from eta per node, then each
+// pair u < v is an edge with probability p and symmetric τ from tau.
+func randomGraph(t *testing.T, rnd *rand.Rand, n int, p float64, eta, tau func() float64) *graph.Graph {
 	t.Helper()
-	n := 12 + rnd.Intn(20)
 	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		b.SetInterest(graph.NodeID(i), 2*rnd.Float64())
+		b.SetInterest(graph.NodeID(i), eta())
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if rnd.Float64() < 0.35 {
-				b.AddEdgeSym(graph.NodeID(u), graph.NodeID(v), -2.5+4*rnd.Float64())
+			if rnd.Float64() < p {
+				b.AddEdgeSym(graph.NodeID(u), graph.NodeID(v), tau())
 			}
 		}
 	}
@@ -202,10 +200,36 @@ func signedGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
 	return g
 }
 
+// signedGraph builds a random graph with n in [12, 31], edge probability
+// 0.35, η uniform in [0, 2) and symmetric τ uniform in [-2.5, 1.5), so
+// that many fused edge weights are negative.
+func signedGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
+	return randomGraph(t, rnd, 12+rnd.Intn(20), 0.35,
+		func() float64 { return 2 * rnd.Float64() },
+		func() float64 { return -2.5 + 4*rnd.Float64() })
+}
+
+// integralGraph builds a random graph with n in [6, 15], edge probability
+// 0.4, η uniform in {0, 1, 2} and symmetric τ = 1 with probability 0.1,
+// else 0. Most bound scores are then a bare η, so different groups tie on
+// W exactly and the §3.1 bound often equals a completion's W.
+func integralGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
+	return randomGraph(t, rnd, 6+rnd.Intn(10), 0.4,
+		func() float64 { return float64(rnd.Intn(3)) },
+		func() float64 {
+			if rnd.Float64() < 0.1 {
+				return 1
+			}
+			return 0
+		})
+}
+
 // TestPruningInvariance: pruning only skips samples that provably cannot
 // beat the incumbent, so it must not change the answer — only the
 // counters. That holds on graphs with negative τ too, whose negative edge
-// gains the bound must not count.
+// gains the bound must not count, and through exact ties, where a growth
+// whose bound equals the incumbent may still win Better's node-set
+// tie-break (the strict < against the shared incumbent in hopeless).
 func TestPruningInvariance(t *testing.T) {
 	ctx := context.Background()
 	g := richCliqueGraph(t)
@@ -234,11 +258,9 @@ func TestPruningInvariance(t *testing.T) {
 		}
 	}
 
-	rnd := rand.New(rand.NewSource(5))
-	for i := 0; i < 40; i++ {
-		g := signedGraph(t, rnd)
+	invariant := func(family string, i int, g *graph.Graph, r core.Request) {
 		for _, s := range []Solver{CBAS{}, CBASND{}} {
-			r := req(5, func(r *core.Request) { r.Starts = 4; r.Samples = 30; r.Seed = uint64(i); r.Workers = 1 })
+			r.Prune = true
 			on, err := s.Solve(ctx, g, r)
 			if err != nil {
 				t.Fatal(err)
@@ -249,9 +271,21 @@ func TestPruningInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !on.Best.Equal(off.Best) || on.Best.Willingness != off.Best.Willingness {
-				t.Errorf("%s, signed graph %d: pruning changed the result: %v vs %v", s.Name(), i, on.Best, off.Best)
+				t.Errorf("%s, %s graph %d (n=%d, k=%d): pruning changed the result: %v vs %v",
+					s.Name(), family, i, g.N(), r.K, on.Best, off.Best)
 			}
 		}
+	}
+	rnd := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		invariant("signed", i, signedGraph(t, rnd),
+			req(5, func(r *core.Request) { r.Starts = 4; r.Samples = 30; r.Seed = uint64(i); r.Workers = 1 }))
+	}
+	for i := 0; i < 1500; i++ {
+		g := integralGraph(t, rnd)
+		k := 2 + rnd.Intn(3)
+		invariant("integral", i, g,
+			req(k, func(r *core.Request) { r.Starts = 4; r.Samples = 8; r.Seed = uint64(i); r.Workers = 1 }))
 	}
 }
 
@@ -486,9 +520,9 @@ func TestWithPrep(t *testing.T) {
 }
 
 func TestPickStarts(t *testing.T) {
-	ctx := context.Background()
 	g := richCliqueGraph(t)
-	starts := PickStarts(ctx, g, 3)
+	prep := testPrep(g)
+	starts := prep.Starts(3)
 	if len(starts) != 3 {
 		t.Fatalf("got %d starts, want 3", len(starts))
 	}
@@ -501,16 +535,7 @@ func TestPickStarts(t *testing.T) {
 			t.Errorf("tail node %d ranked above clique nodes", v)
 		}
 	}
-	if n := len(PickStarts(ctx, g, 100)); n != g.N() {
-		t.Errorf("PickStarts capped at %d, want N=%d", n, g.N())
-	}
-	// A context-attached resident ranking answers without re-ranking and
-	// must agree with the partial-selection path.
-	prepped := PickStarts(WithPrep(ctx, testPrep(g)), g, 3)
-	for i := range starts {
-		if prepped[i] != starts[i] {
-			t.Errorf("prepped PickStarts %v != partial %v", prepped, starts)
-			break
-		}
+	if n := len(prep.Starts(100)); n != g.N() {
+		t.Errorf("Starts capped at %d, want N=%d", n, g.N())
 	}
 }

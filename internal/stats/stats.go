@@ -1,12 +1,12 @@
-// Package stats provides the descriptive statistics and table formatting
-// used by the experiment harness to report every figure of the paper.
+// Package stats provides the batch statistics (mean, standard deviation,
+// extrema) and the aligned or CSV tables the waso CLI reports its results
+// in.
 package stats
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -40,33 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Percentile returns the p-th percentile (0–100) of xs using linear
-// interpolation between closest ranks. Returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // MinMax returns the minimum and maximum of xs. Returns (0, 0) for an empty
 // slice.
 func MinMax(xs []float64) (lo, hi float64) {
@@ -83,112 +56,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Bucket is one bar of a histogram. Which side of each edge a value
-// belongs to depends on the producing function: Histogram assigns interior
-// edges to the lower bucket, HistogramFixed to the upper.
-type Bucket struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram buckets xs into n equal-width bins spanning [min, max].
-// Interior bin edges belong to the lower bucket, so bucket i covers
-// (Lo, Hi] except the first, which also includes its Lo. Figure 4(a) and
-// Figure 6(a) of the paper are histograms produced through this function.
-func Histogram(xs []float64, n int) []Bucket {
-	if n <= 0 || len(xs) == 0 {
-		return nil
-	}
-	lo, hi := MinMax(xs)
-	if hi == lo {
-		return []Bucket{{Lo: lo, Hi: hi, Count: len(xs)}}
-	}
-	// hi/n − lo/n rather than (hi−lo)/n: the span of extreme inputs can
-	// overflow to +Inf even though each half scales finitely (n ≥ 2; for
-	// n = 1 an infinite width is harmless, every value lands in bucket 0).
-	width := hi/float64(n) - lo/float64(n)
-	buckets := make([]Bucket, n)
-	for i := range buckets {
-		buckets[i].Lo = lo + float64(i)*width
-		buckets[i].Hi = lo + float64(i+1)*width
-	}
-	buckets[n-1].Hi = hi
-	for _, x := range xs {
-		// x−lo can still overflow to +Inf (making r = Inf, or NaN when
-		// width is also Inf in the n = 1 case); both belong at the top.
-		r := (x - lo) / width
-		var idx int
-		switch {
-		case math.IsNaN(r) || r >= float64(n):
-			idx = n - 1
-		default:
-			idx = int(math.Ceil(r)) - 1 // edge values fall to the lower bucket
-			if idx < 0 {
-				idx = 0
-			}
-		}
-		buckets[idx].Count++
-	}
-	return buckets
-}
-
-// HistogramFixed buckets xs into bins with explicit edges (len(edges)-1
-// bins); bin i covers [edges[i], edges[i+1]) with the final bin closed,
-// and values outside [edges[0], edges[last]] are dropped.
-func HistogramFixed(xs []float64, edges []float64) []Bucket {
-	if len(edges) < 2 {
-		return nil
-	}
-	buckets := make([]Bucket, len(edges)-1)
-	for i := range buckets {
-		buckets[i].Lo, buckets[i].Hi = edges[i], edges[i+1]
-	}
-	for _, x := range xs {
-		for i := range buckets {
-			if x >= buckets[i].Lo && (x < buckets[i].Hi || (i == len(buckets)-1 && x == buckets[i].Hi)) {
-				buckets[i].Count++
-				break
-			}
-		}
-	}
-	return buckets
-}
-
-// PearsonR returns the Pearson correlation coefficient of the paired
-// samples. Returns 0 when either side has zero variance.
-func PearsonR(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // Table accumulates rows and renders an aligned plain-text table — the
@@ -220,9 +87,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Fprint renders the table to w.
 func (t *Table) Fprint(w io.Writer) error {
