@@ -11,7 +11,8 @@ import (
 // BenchmarkSamplerCrossover measures one draw-plus-update cycle of the two
 // weighted-sampler backends across frontier sizes — the workload of one
 // CBASND growth step. The size where fenwick beats linear calibrates
-// solver.FenwickCrossover; record updated results in BENCH_solvers.json.
+// solver.FenwickCrossover; README's "Sampler crossover" note records the
+// numbers it rests on.
 func BenchmarkSamplerCrossover(b *testing.B) {
 	for _, n := range []int{16, 64, 256, 1024, 4096, 16384} {
 		weights := make([]float64, n)

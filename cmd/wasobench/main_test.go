@@ -2,185 +2,212 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestHarnessReport: a small sweep produces a well-formed
-// BENCH_solvers.json-style document with one row per (algo, workers)
-// configuration plus the unprepped rows, positive timings, and the
-// deterministic solution fields filled in.
-func TestHarnessReport(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-n", "2000", "-samples", "5", "-reps", "1",
-		"-workers", "1,2", "-algos", "cbas,cbasnd",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	// 2 algos × (2 worker counts + 1 unprepped row).
-	if want := 6; len(rep.Benchmarks) != want {
-		t.Fatalf("got %d benchmark rows, want %d", len(rep.Benchmarks), want)
-	}
-	for _, b := range rep.Benchmarks {
-		if b.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %v", b.Name, b.NsPerOp)
-		}
-		if b.Willing <= 0 {
-			t.Errorf("%s: willingness = %v", b.Name, b.Willing)
-		}
-		if b.SamplesN <= 0 {
-			t.Errorf("%s: samples_drawn = %d", b.Name, b.SamplesN)
-		}
-	}
-	// Worker count must not change the answer — the harness measures the
-	// same deterministic solve at every sweep point.
-	byName := map[string]entry{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	w1 := byName["BenchmarkLargeGraph/n=2000/cbasnd/workers=1"]
-	w2 := byName["BenchmarkLargeGraph/n=2000/cbasnd/workers=2"]
-	if w1.Willing != w2.Willing {
-		t.Errorf("cbasnd willingness differs across workers: %v vs %v", w1.Willing, w2.Willing)
-	}
-	if rep.Date == "" || rep.Goos == "" || rep.Command == "" {
-		t.Errorf("missing report metadata: %+v", rep)
-	}
+// series is one benchmark row across runs: run i prints ns[i], plus the
+// -benchmem columns when bytes is set.
+type series struct {
+	row           string
+	ns            []float64
+	bytes, allocs []float64
 }
 
-// TestHarnessRegionSweep: sweeping region modes and group sizes yields one
-// row per (k, mode, workers) plus unprepped rows, default axes omitted
-// from names, and bit-identical willingness across modes (regions are
-// execution strategy, never results).
-func TestHarnessRegionSweep(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-gen", "er", "-avgdeg", "2", "-n", "1500", "-samples", "5", "-reps", "1",
-		"-workers", "1", "-algos", "cbas", "-ks", "4,10", "-regions", "auto,off",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	// 2 ks × 2 modes × (1 worker row + 1 unprepped row).
-	if want := 8; len(rep.Benchmarks) != want {
-		t.Fatalf("got %d benchmark rows, want %d", len(rep.Benchmarks), want)
-	}
-	byName := map[string]entry{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	for _, pair := range [][2]string{
-		{"BenchmarkLargeGraph/n=1500/gen=er/k=4/cbas/workers=1",
-			"BenchmarkLargeGraph/n=1500/gen=er/k=4/cbas/workers=1/regions=off"},
-		{"BenchmarkLargeGraph/n=1500/gen=er/cbas/workers=1/unprepped",
-			"BenchmarkLargeGraph/n=1500/gen=er/cbas/workers=1/regions=off/unprepped"},
-	} {
-		auto, ok := byName[pair[0]]
-		if !ok {
-			t.Fatalf("missing row %q (have %v)", pair[0], names(rep.Benchmarks))
+// writeRuns writes go test -bench text the way repeated runs of one test
+// binary append it, with a GOMAXPROCS suffix, and returns the file's path.
+func writeRuns(t *testing.T, rows ...series) string {
+	t.Helper()
+	var b strings.Builder
+	for i := range rows[0].ns {
+		b.WriteString("goos: linux\ngoarch: amd64\npkg: waso/internal/solver\ncpu: Test CPU @ 2.10GHz\n")
+		for _, s := range rows {
+			fmt.Fprintf(&b, "%s-2   \t      20\t%12g ns/op", s.row, s.ns[i])
+			if s.bytes != nil {
+				fmt.Fprintf(&b, "\t%10g B/op\t%8g allocs/op", s.bytes[i], s.allocs[i])
+			}
+			b.WriteString("\n")
 		}
-		off, ok := byName[pair[1]]
-		if !ok {
-			t.Fatalf("missing row %q (have %v)", pair[1], names(rep.Benchmarks))
-		}
-		if auto.Willing != off.Willing {
-			t.Errorf("%s: willingness %v != %v across region modes", pair[0], auto.Willing, off.Willing)
-		}
+		b.WriteString("PASS\n")
 	}
+	path := filepath.Join(t.TempDir(), "runs.txt")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-func names(rows []entry) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.Name
+func same(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
 	}
 	return out
 }
 
-// TestCompare: the regression gate passes within tolerance, fails beyond
-// it, fails when nothing matches, and honours the name filter.
-func TestCompare(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rows []entry) string {
-		path := dir + "/" + name
-		data, err := json.Marshal(report{Benchmarks: rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+func shift(vs []float64, d float64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = v + d
 	}
-	base := write("base.json", []entry{
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 1000},
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 2000},
-	})
-	ok := write("ok.json", []entry{
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 1200},
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 1900},
-		{Name: "BenchmarkLargeGraph/n=999/only-in-new", NsPerOp: 5},
-	})
-	bad := write("bad.json", []entry{
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 1300},
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 1900},
-	})
+	return out
+}
+
+// baseNs has median 100 and interquartile distance 102 − 98 = 4 under the
+// nearest-rank percentile.
+var baseNs = []float64{100, 104, 96, 102, 98, 101, 99, 103, 97, 100}
+
+func compareRuns(t *testing.T, base, fresh []series) (string, error) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := run([]string{"-compare-base", base, "-compare-new", ok}, &buf); err != nil {
-		t.Errorf("within tolerance: %v\n%s", err, buf.String())
+	err := run([]string{"-compare-base", writeRuns(t, base...), "-compare-new", writeRuns(t, fresh...)}, &buf)
+	return buf.String(), err
+}
+
+// TestParseBench: -N suffixes are stripped, rows with and without the
+// -benchmem columns parse, and everything that is not a result line is
+// skipped.
+func TestParseBench(t *testing.T) {
+	text := `goos: linux
+goarch: amd64
+pkg: waso/internal/solver
+cpu: Test CPU @ 2.10GHz
+BenchmarkLargeGraph
+BenchmarkLargeGraph/n=100000/cbas/workers=1-2         	      20	  52345678 ns/op	 1234567 B/op	    1499 allocs/op
+BenchmarkLargeGraph/n=100000/gen=er/k=4/cbasnd/workers=1/regions=off-8 	      20	  1234.5 ns/op
+BenchmarkSolvers/cbas       	    1000	      1500 ns/op
+    bench_test.go:42: a log line
+BenchmarkLargeGraph/n=100000/cbas/workers=1-2         	      20	  50000000 ns/op	 1234560 B/op	    1498 allocs/op
+BenchmarkBroken-2   	 lots	  12 ns/op
+BenchmarkHalf-2   	 20	  12 ns/op	 7
+PASS
+ok  	waso/internal/solver	12.3s
+`
+	runs, err := parseBench(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-compare-base", base, "-compare-new", bad}, &bytes.Buffer{}); err == nil {
-		t.Error("1.3x regression passed a 1.25x gate")
+	want := []string{
+		"BenchmarkLargeGraph/n=100000/cbas/workers=1",
+		"BenchmarkLargeGraph/n=100000/gen=er/k=4/cbasnd/workers=1/regions=off",
+		"BenchmarkSolvers/cbas",
 	}
-	// The regressed row is filtered out by the match string.
-	if err := run([]string{"-compare-base", base, "-compare-new", bad, "-compare-match", "regions=off"}, &bytes.Buffer{}); err != nil {
-		t.Errorf("filtered compare: %v", err)
+	if fmt.Sprint(runs.names) != fmt.Sprint(want) {
+		t.Fatalf("rows = %q, want %q", runs.names, want)
 	}
-	// A generous tolerance passes the same rows.
-	if err := run([]string{"-compare-base", base, "-compare-new", bad, "-compare-tolerance", "1.5"}, &bytes.Buffer{}); err != nil {
-		t.Errorf("loose tolerance: %v", err)
+	for _, c := range []struct {
+		row, unit string
+		want      []float64
+	}{
+		{want[0], "ns/op", []float64{52345678, 50000000}},
+		{want[0], "B/op", []float64{1234567, 1234560}},
+		{want[0], "allocs/op", []float64{1499, 1498}},
+		{want[1], "ns/op", []float64{1234.5}},
+		{want[2], "ns/op", []float64{1500}},
+	} {
+		if got := runs.vals[c.row][c.unit]; fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s %s = %v, want %v", c.row, c.unit, got, c.want)
+		}
 	}
-	// Matching nothing is a failure, not a silent pass.
-	if err := run([]string{"-compare-base", base, "-compare-new", ok, "-compare-match", "no-such-row"}, &bytes.Buffer{}); err == nil {
-		t.Error("zero matched rows passed the gate")
-	}
-	// So is shrunk coverage: a baseline row the filter gates that the
-	// fresh report no longer produces.
-	shrunk := write("shrunk.json", []entry{
-		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 1000},
-	})
-	if err := run([]string{"-compare-base", base, "-compare-new", shrunk}, &bytes.Buffer{}); err == nil {
-		t.Error("fresh report missing a gated baseline row passed the gate")
-	}
-	if err := run([]string{"-compare-base", base}, &bytes.Buffer{}); err == nil {
-		t.Error("-compare-base without -compare-new accepted")
+	if _, ok := runs.vals[want[1]]["B/op"]; ok {
+		t.Errorf("row without -benchmem columns has B/op values")
 	}
 }
 
-func TestHarnessBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-n", "0"},
-		{"-n", "abc"},
-		{"-workers", "-2"},
-		{"-reps", "0"},
-		{"-algos", "oracle"},
-		{"-ks", "0"},
-		{"-regions", "sometimes"},
+// TestCompare: a cell is flagged only when the change is worse in every
+// pair and its median exceeds the parent's by more than the parent's IQR.
+func TestCompare(t *testing.T) {
+	const row = "BenchmarkLargeGraph/n=100000/cbasnd/workers=1"
+	nineOfTen := shift(baseNs, 10)
+	nineOfTen[3] = baseNs[3] - 1
+	oneTie := shift(baseNs, 10)
+	oneTie[0] = baseNs[0]
+	for _, tc := range []struct {
+		name       string
+		ns, allocs []float64
+		flagged    string
+	}{
+		{name: "worse in all pairs beyond the IQR", ns: shift(baseNs, 10), flagged: "ns/op"},
+		{name: "worse in 9 of 10 pairs", ns: nineOfTen},
+		{name: "a tie is not worse", ns: oneTie},
+		{name: "all ties", ns: baseNs},
+		{name: "worse in all pairs within the IQR", ns: shift(baseNs, 3)},
+		{name: "better", ns: shift(baseNs, -20)},
+		{name: "allocs rise over a constant parent", ns: baseNs, allocs: same(10, 1500), flagged: "allocs/op"},
 	} {
-		// Small default -n keeps the cases that fail later than flag
-		// parsing cheap; the case's own flags come last so they win.
-		if err := run(append([]string{"-samples", "1", "-n", "50"}, args...), &bytes.Buffer{}); err == nil {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := tc.allocs
+			if allocs == nil {
+				allocs = same(10, 1499)
+			}
+			base := series{row, baseNs, same(10, 4096), same(10, 1499)}
+			out, err := compareRuns(t, []series{base}, []series{{row, tc.ns, same(10, 4096), allocs}})
+			if (err != nil) != (tc.flagged != "") {
+				t.Fatalf("err = %v, want flagged %q\n%s", err, tc.flagged, out)
+			}
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) > 1 && f[0] == row {
+					if got := strings.HasSuffix(line, "REGRESSED"); got != (f[1] == tc.flagged) {
+						t.Errorf("%s: REGRESSED = %v\n%s", f[1], got, out)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCompareCoverage: a parent row missing from the change, a parent
+// file without rows and a cell with fewer than 5 pairs each fail; rows
+// only the change has are listed and pass.
+func TestCompareCoverage(t *testing.T) {
+	a := series{"BenchmarkLargeGraph/n=100000/cbas/workers=1", baseNs, same(10, 4096), same(10, 1499)}
+	b := series{"BenchmarkLargeGraph/n=100000/cbas/workers=2", baseNs, same(10, 4096), same(10, 1499)}
+	extra := series{"BenchmarkLargeGraph/n=100000/obj=friend/cbasnd/workers=1", baseNs, same(10, 4096), same(10, 1499)}
+
+	if out, err := compareRuns(t, []series{a, b}, []series{a}); err == nil || !strings.Contains(err.Error(), b.row) {
+		t.Errorf("parent row missing from the change: err = %v\n%s", err, out)
+	}
+	out, err := compareRuns(t, []series{a}, []series{a, extra})
+	if err != nil {
+		t.Errorf("extra row in the change: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, extra.row+" ") || !strings.Contains(out, "not gated") {
+		t.Errorf("extra row not listed:\n%s", out)
+	}
+	four := series{a.row, baseNs[:4], same(4, 4096), same(4, 1499)}
+	if out, err := compareRuns(t, []series{four}, []series{four}); err == nil {
+		t.Errorf("4 pairs accepted\n%s", out)
+	}
+	noMem := series{row: a.row, ns: baseNs}
+	if out, err := compareRuns(t, []series{a}, []series{noMem}); err == nil {
+		t.Errorf("change run without -benchmem accepted against a parent with it\n%s", out)
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("goos: linux\nPASS\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-compare-base", empty, "-compare-new", writeRuns(t, a)}, &bytes.Buffer{}); err == nil {
+		t.Error("parent file without rows accepted")
+	}
+}
+
+// TestHarnessBadFlags: wasobench runs one mode at a time and refuses to
+// guess one.
+func TestHarnessBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{},
+		{"-n", "1000"},
+		{"-compare-base", "base.txt"},
+		{"-compare-new", "new.txt"},
+		{"-overload", "-url", "http://x", "-compare-base", "a", "-compare-new", "b"},
+		{"-compare-base", filepath.Join(dir, "absent"), "-compare-new", filepath.Join(dir, "absent")},
+	} {
+		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
 	}

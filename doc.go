@@ -105,11 +105,11 @@
 //	          -data-dir turns on the durable store with boot-time
 //	          recovery; overload maps to 429/503 with jittered
 //	          Retry-After and SIGTERM runs the drain sequence), and
-//	          cmd/wasobench (large-graph scaling benchmarks with their
-//	          compare gate, and the -overload shed-don't-collapse gate
-//	          against a live wasod). The serving benchmark, servebench/,
-//	          is a module of its own that drives service directly and
-//	          checks every answer.
+//	          cmd/wasobench (the A/B perf gate over go test -bench
+//	          output of a parent and a change, and the -overload
+//	          shed-don't-collapse gate against a live wasod). The
+//	          serving benchmark, servebench/, is a module of its own
+//	          that drives service directly and checks every answer.
 //	lint    — off to the side of the tower: internal/lint and its driver
 //	          cmd/wasolint machine-check the conventions the layers above
 //	          rely on (solver result-path determinism, the waso_ metric

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -85,72 +86,66 @@ func (b *Builder) AddArc(i, j NodeID, tau float64) {
 }
 
 // Build assembles the CSR graph. Returns the first recorded error, if any.
+//
+// Each arc is placed twice, as an out-entry in its tail's row and an
+// in-entry in its head's row, by a counting sort that keeps arc order
+// within a row. A stable sort of each row by neighbour then brings the
+// repeats of an edge together, still in arc order, so the sums below add
+// repeated arcs in the order they were recorded, starting from +0.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	// Canonical undirected edge key (min, max); accumulate both directions.
-	type key struct{ lo, hi NodeID }
-	type pair struct{ loHi, hiLo float64 } // τ_{lo,hi}, τ_{hi,lo}
-	edges := make(map[key]*pair, len(b.src)/2)
+	type half struct {
+		nbr NodeID
+		out bool // τ_{row,nbr} when set, else τ_{nbr,row}
+		tau float64
+	}
+	start := make([]int64, b.n+1)
 	for p := range b.src {
-		i, j, t := b.src[p], b.dst[p], b.tau[p]
-		k := key{i, j}
-		forward := true
-		if j < i {
-			k = key{j, i}
-			forward = false
-		}
-		e := edges[k]
-		if e == nil {
-			e = &pair{}
-			edges[k] = e
-		}
-		if forward {
-			e.loHi += t
-		} else {
-			e.hiLo += t
-		}
+		start[b.src[p]+1]++
+		start[b.dst[p]+1]++
 	}
-	keys := make([]key, 0, len(edges))
-	//lint:allow determinism(key collection only; keys are sorted below before any layout depends on order)
-	for k := range edges {
-		keys = append(keys, k)
+	for i := 1; i <= b.n; i++ {
+		start[i] += start[i-1]
 	}
-	sort.Slice(keys, func(a, c int) bool {
-		if keys[a].lo != keys[c].lo {
-			return keys[a].lo < keys[c].lo
-		}
-		return keys[a].hi < keys[c].hi
-	})
-
-	deg := make([]int64, b.n+1)
-	for _, k := range keys {
-		deg[k.lo+1]++
-		deg[k.hi+1]++
+	halves := make([]half, start[b.n])
+	cursor := append([]int64(nil), start[:b.n]...)
+	for p, i := range b.src {
+		j, t := b.dst[p], b.tau[p]
+		halves[cursor[i]] = half{j, true, t}
+		cursor[i]++
+		halves[cursor[j]] = half{i, false, t}
+		cursor[j]++
 	}
 	off := make([]int64, b.n+1)
-	for i := 1; i <= b.n; i++ {
-		off[i] = off[i-1] + deg[i]
+	for i := 0; i < b.n; i++ {
+		row := halves[start[i]:start[i+1]]
+		slices.SortStableFunc(row, func(x, y half) int { return cmp.Compare(x.nbr, y.nbr) })
+		distinct := int64(0)
+		for q := range row {
+			if q == 0 || row[q].nbr != row[q-1].nbr {
+				distinct++
+			}
+		}
+		off[i+1] = off[i] + distinct
 	}
-	total := off[b.n]
-	nbr := make([]NodeID, total)
-	wOut := make([]float64, total)
-	wIn := make([]float64, total)
-	cursor := make([]int64, b.n)
-	copy(cursor, off[:b.n])
-	place := func(i, j NodeID, out, in float64) {
-		p := cursor[i]
-		cursor[i]++
-		nbr[p], wOut[p], wIn[p] = j, out, in
-	}
-	// Placing the keys in (lo, hi) order fills every row in ascending order:
-	// node i receives its partners below it (keys (j, i)) in ascending j
-	// before any partner above it (keys (i, j)), again in ascending j.
-	for _, k := range keys {
-		e := edges[k]
-		place(k.lo, k.hi, e.loHi, e.hiLo)
-		place(k.hi, k.lo, e.hiLo, e.loHi)
+	nbr := make([]NodeID, off[b.n])
+	wOut := make([]float64, off[b.n])
+	wIn := make([]float64, off[b.n])
+	for i := 0; i < b.n; i++ {
+		p := off[i] - 1
+		for q, h := range halves[start[i]:start[i+1]] {
+			if q == 0 || h.nbr != nbr[p] {
+				p++
+				nbr[p] = h.nbr
+			}
+			if h.out {
+				wOut[p] += h.tau
+			} else {
+				wIn[p] += h.tau
+			}
+		}
 	}
 	g := &Graph{
 		interest: append([]float64(nil), b.interest...),

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -137,6 +139,134 @@ func TestBuilderDuplicateEdgeMerging(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// buildByMap is Build as it ran before the counting sort: one map entry
+// per undirected edge summing both directions in arc order, keys sorted
+// by (lo, hi). Build must match it bit for bit.
+func buildByMap(b *Builder) (*Graph, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	type key struct{ lo, hi NodeID }
+	type pair struct{ loHi, hiLo float64 } // τ_{lo,hi}, τ_{hi,lo}
+	edges := make(map[key]*pair, len(b.src)/2)
+	for p := range b.src {
+		i, j, t := b.src[p], b.dst[p], b.tau[p]
+		k, forward := key{i, j}, true
+		if j < i {
+			k, forward = key{j, i}, false
+		}
+		e := edges[k]
+		if e == nil {
+			e = &pair{}
+			edges[k] = e
+		}
+		if forward {
+			e.loHi += t
+		} else {
+			e.hiLo += t
+		}
+	}
+	keys := make([]key, 0, len(edges))
+	for k := range edges {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, c int) bool {
+		if keys[a].lo != keys[c].lo {
+			return keys[a].lo < keys[c].lo
+		}
+		return keys[a].hi < keys[c].hi
+	})
+	off := make([]int64, b.n+1)
+	for _, k := range keys {
+		off[k.lo+1]++
+		off[k.hi+1]++
+	}
+	for i := 1; i <= b.n; i++ {
+		off[i] += off[i-1]
+	}
+	nbr := make([]NodeID, off[b.n])
+	wOut := make([]float64, off[b.n])
+	wIn := make([]float64, off[b.n])
+	cursor := append([]int64(nil), off[:b.n]...)
+	place := func(i, j NodeID, out, in float64) {
+		p := cursor[i]
+		cursor[i]++
+		nbr[p], wOut[p], wIn[p] = j, out, in
+	}
+	for _, k := range keys {
+		e := edges[k]
+		place(k.lo, k.hi, e.loHi, e.hiLo)
+		place(k.hi, k.lo, e.hiLo, e.loHi)
+	}
+	g := &Graph{interest: append([]float64(nil), b.interest...), off: off, nbr: nbr, wOut: wOut, wIn: wIn}
+	g.fuse()
+	return g, nil
+}
+
+// TestBuildMatchesMap: on random multigraphs whose repeated arcs arrive in
+// both orientations through AddArc, AddEdge and AddEdgeSym, with signed
+// zeros and weights whose sums depend on their order, Build encodes to
+// the same bytes and fuses the same weight bits as buildByMap.
+func TestBuildMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float64{0, math.Copysign(0, -1), 0.1, 0.7, -0.3, 1e-17, 3.25}
+	tau := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Float64()
+	}
+	encode := func(g *Graph) []byte {
+		var buf bytes.Buffer
+		if err := Encode(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(12)
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			b.SetInterest(NodeID(i), tau())
+		}
+		for ops := rng.Intn(5 * n); n > 1 && ops > 0; ops-- {
+			i, j := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if i == j {
+				continue
+			}
+			for dup := 1 + rng.Intn(3); dup > 0; dup-- {
+				switch rng.Intn(3) {
+				case 0:
+					b.AddArc(i, j, tau())
+				case 1:
+					b.AddEdge(i, j, tau(), tau())
+				default:
+					b.AddEdgeSym(i, j, tau())
+				}
+				i, j = j, i
+			}
+		}
+		want, err := buildByMap(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("trial %d (n=%d, %d arcs): Encode bytes differ from the map build", trial, n, len(b.src))
+		}
+		_, _, gw, _ := got.FusedCSR()
+		_, _, ww, _ := want.FusedCSR()
+		for p := range ww {
+			if math.Float64bits(gw[p]) != math.Float64bits(ww[p]) {
+				t.Fatalf("trial %d: fused weight %d = %v, map build %v", trial, p, gw[p], ww[p])
+			}
+		}
 	}
 }
 

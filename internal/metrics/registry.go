@@ -181,7 +181,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 // Snapshot returns every series the registry would render, keyed by its
 // exposition identity (name plus rendered label block) — the programmatic
-// scrape used by tests and by wasobench's before/after metric deltas.
+// scrape used by tests and by servebench, which diffs it across a run.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, fam := range r.snapshotFamilies() {

@@ -3,6 +3,8 @@ package objective
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,22 +166,9 @@ func TestFriendProperties(t *testing.T) {
 			if edge[p] <= 0 || edge[p] >= 1 {
 				t.Errorf("edge gain %d→%d = %v outside (0,1)", v, nbr[p], edge[p])
 			}
-			// Locate the reverse entry and demand bit equality.
-			u := nbr[p]
-			found := false
-			for q := off[u]; q < off[u+1]; q++ {
-				if nbr[q] == graph.NodeID(v) {
-					found = true
-					if math.Float64bits(edge[q]) != math.Float64bits(edge[p]) {
-						t.Errorf("edge gain %d↔%d asymmetric: %v vs %v", v, u, edge[p], edge[q])
-					}
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency missing reverse entry %d→%d", u, v)
-			}
 		}
 	}
+	checkEdgeSymmetric(t, b)
 
 	// squash: odd around 0.5, monotone, bounded.
 	if squash(0) != 0.5 {
@@ -197,6 +186,78 @@ func TestFriendProperties(t *testing.T) {
 	pairW := func(u, v graph.NodeID) float64 { return b.Value([]graph.NodeID{u, v}) }
 	if pairW(1, 2) <= pairW(0, 2) {
 		t.Errorf("friend ranks loose pair over tight pair: %v vs %v", pairW(0, 2), pairW(1, 2))
+	}
+}
+
+// checkEdgeSymmetric requires the Edge entry at v for u to bit-equal the
+// entry at u for v, as the package contract demands and Binding.Value's
+// count-each-edge-once relies on.
+func checkEdgeSymmetric(t *testing.T, b *Binding) {
+	t.Helper()
+	off, nbr, edge, _ := b.CSR()
+	for v := graph.NodeID(0); int(v) < b.Graph().N(); v++ {
+		for p := off[v]; p < off[v+1]; p++ {
+			u := nbr[p]
+			q, ok := slices.BinarySearch(nbr[off[u]:off[u+1]], v)
+			if !ok {
+				t.Fatalf("%s: adjacency missing reverse entry %d→%d", b.Name(), u, v)
+			}
+			if r := edge[off[u]+int64(q)]; math.Float64bits(r) != math.Float64bits(edge[p]) {
+				t.Errorf("%s: edge gain %d↔%d asymmetric: %v vs %v", b.Name(), v, u, edge[p], r)
+			}
+		}
+	}
+}
+
+// TestEdgeSymmetry: every registered objective's Edge is bit-symmetric on
+// a random graph whose two directions carry different τ, and again after a
+// mutation batch that re-weights one direction, adds and deletes edges.
+func TestEdgeSymmetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 60
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.SetInterest(graph.NodeID(i), rng.Float64())
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < 0.1 {
+				b.AddEdge(graph.NodeID(i), graph.NodeID(j), 3*rng.Float64()-1, 3*rng.Float64()-1)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var muts []graph.Mutation
+	used := map[graph.NodeID]bool{}
+	for v := graph.NodeID(0); v < n && len(muts) < 6; v++ {
+		nbrs, _, tauIn := g.Edges(v)
+		if len(nbrs) < 2 || used[v] || used[nbrs[0]] || used[nbrs[1]] {
+			continue
+		}
+		used[v], used[nbrs[0]], used[nbrs[1]] = true, true, true
+		// Re-weight τ_{v,u} only, keep τ_{u,v}; drop the next edge.
+		muts = append(muts,
+			graph.Mutation{Op: graph.MutSetTau, U: v, V: nbrs[0], TauOut: 3*rng.Float64() - 1, TauIn: tauIn[0]},
+			graph.Mutation{Op: graph.MutDelEdge, U: v, V: nbrs[1]})
+	}
+	for added := 0; added < 6; {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if _, _, ok := g.Tau(u, v); ok || u == v || slices.ContainsFunc(muts, func(m graph.Mutation) bool {
+			return m.Op == graph.MutAddEdge && (m.U == u && m.V == v || m.U == v && m.V == u)
+		}) {
+			continue
+		}
+		muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, U: u, V: v, TauOut: 3*rng.Float64() - 1, TauIn: 3*rng.Float64() - 1})
+		added++
+	}
+	g2, _, err := g.ApplyMutations(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range All() {
+		checkEdgeSymmetric(t, Bind(obj, g))
+		checkEdgeSymmetric(t, Bind(obj, g2))
 	}
 }
 

@@ -235,9 +235,9 @@ func (s *Service) registerStoreMetrics() {
 		})
 }
 
-// Metrics returns the service's registry — the single source /metrics and
-// wasobench scrape. Transports may register their own families on it
-// (wasod adds the HTTP family) before serving.
+// Metrics returns the service's registry — the single source that
+// /metrics renders and servebench reads. Transports may register their
+// own families on it (wasod adds the HTTP family) before serving.
 func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
 // errKind classifies a solve error for the waso_solve_errors_total kind

@@ -65,9 +65,10 @@ func BenchmarkSolvePrepped(b *testing.B) {
 // path always runs prepped). The solves run on an attached 8-worker
 // executor so worker counts are not limited by the host's core count; on
 // machines with fewer cores the high-worker rows measure scheduling
-// overhead rather than speedup. CI runs this at -benchtime=20x as a
-// build-and-run guard (not a threshold gate); cmd/wasobench is the
-// JSON-emitting harness over the same sweep.
+// overhead rather than speedup. CI's perf gate runs it at -benchtime=20x
+// -benchmem from the parent's and the change's test binaries in
+// alternating pairs (cmd/wasobench/ab.sh) and fails a row only when the
+// change is worse in every pair by more than the parent's quartile spread.
 func BenchmarkLargeGraph(b *testing.B) {
 	const n = 100_000
 	g := benchGraph(b, n)
@@ -104,6 +105,29 @@ func BenchmarkLargeGraph(b *testing.B) {
 			}
 		}
 	})
+
+	// A non-default objective: friend's own fused arrays, bound once per
+	// graph when prepped and on every call (its O(n + m) Arrays pass plus
+	// the partial ranking) when not.
+	friend := base
+	friend.Objective = "friend"
+	friend.Workers = 1
+	friendCtx := WithPrep(exCtx, NewPrep(testBindAs("friend", g)))
+	for _, prepped := range []bool{true, false} {
+		name, ctx := fmt.Sprintf("n=%d/obj=friend/cbasnd/workers=1", n), friendCtx
+		if !prepped {
+			name, ctx = name+"/unprepped", exCtx
+		}
+		b.Run(name, func(b *testing.B) {
+			r := friend
+			for i := 0; i < b.N; i++ {
+				r.Seed = uint64(i)
+				if _, err := (CBASND{}).Solve(ctx, g, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	// Region showcase: a sparse instance at small k, where the (k−1)-hop
 	// balls are a few hundred nodes — the serving shape region mode exists

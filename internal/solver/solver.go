@@ -92,7 +92,8 @@ var ErrNoGroup = errors.New("no group produced")
 
 // FenwickCrossover is the estimated frontier size above which
 // core.SamplerAuto switches CBASND from linear scans to a Fenwick tree. The
-// default comes from BenchmarkSamplerCrossover (see BENCH_solvers.json).
+// default comes from BenchmarkSamplerCrossover (README, "Sampler
+// crossover").
 const FenwickCrossover = 256
 
 // Solver finds a connected group F, |F| ≤ req.K, maximizing W(F) per Eq. 1.
