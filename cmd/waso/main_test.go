@@ -122,6 +122,7 @@ func TestBadFlags(t *testing.T) {
 		{"-sampler", "quantum"},
 		{"-algo", "oracle"},
 		{"-gen", "smallworld"},
+		{"-objective", "budget"},
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted", args)

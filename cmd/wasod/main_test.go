@@ -263,8 +263,9 @@ func TestSolveMatchesCLIPath(t *testing.T) {
 
 // TestSolveObjectivesHTTP: every registered objective is servable through
 // the request's "objective" field, bit-identical to a direct solver call;
-// a budget solve echoes its applied plan as report.policy; an unknown
-// objective is the client's mistake (400), not a 500.
+// an unknown objective — including the deleted "budget" preset — is the
+// client's mistake (400), not a 500, and the error lists exactly the
+// registered objectives.
 func TestSolveObjectivesHTTP(t *testing.T) {
 	ts := newTestServer(t)
 	spec := gen.Spec{Kind: "powerlaw", N: 300, AvgDeg: 8, Seed: 6}
@@ -299,13 +300,15 @@ func TestSolveObjectivesHTTP(t *testing.T) {
 		if got.Report.Best.Willingness != want.Best.Willingness || !got.Report.Best.Equal(want.Best) {
 			t.Errorf("%s: server %v != direct %v", obj, got.Report.Best, want.Best)
 		}
-		if wantPolicy := obj == "budget"; (got.Report.Policy != "") != wantPolicy {
-			t.Errorf("%s: report.policy = %q, want populated=%v", obj, got.Report.Policy, wantPolicy)
-		}
 	}
-	if status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
-		`{"graph":"o","algo":"cbasnd","request":{"k":8,"objective":"entropy"}}`); status != http.StatusBadRequest {
-		t.Errorf("unknown objective: %d %s, want 400", status, body)
+	for _, obj := range []string{"entropy", "budget"} {
+		status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
+			fmt.Sprintf(`{"graph":"o","algo":"cbasnd","request":{"k":8,"objective":%q}}`, obj))
+		if status != http.StatusBadRequest {
+			t.Errorf("unknown objective %q: %d %s, want 400", obj, status, body)
+		} else if !strings.Contains(string(body), "(have friend, willingness)") {
+			t.Errorf("unknown objective %q: body %s does not list exactly friend, willingness", obj, body)
+		}
 	}
 }
 

@@ -17,19 +17,18 @@
 //	          The graph holds no objective semantics: what a group is
 //	          worth is the next layer's business.
 //	objective — the pluggable scoring layer between graph and solver:
-//	          an Objective turns a graph's raw scores into the fused
-//	          per-node / per-adjacency-entry gain arrays the growth
-//	          loops consume (the fused-additive contract: symmetric
-//	          edge gains, finite node gains; the §3.1 start bound counts
-//	          the edge gains' positive part, so it stays admissible on
-//	          every graph), plus a scale-adaptive search-budget Plan.
-//	          Objectives register by name like solvers; "willingness"
-//	          (Eq. 1) aliases the graph's own fused slabs so the seam
-//	          is bit-identical to the pre-seam code, "friend" scores
-//	          noisy-or friend-making likelihood (arXiv 1502.06682),
-//	          "budget" scores like willingness but plans
-//	          starts/samples/region caps from the instance scale
-//	          (arXiv 1502.06819).
+//	          an Objective is a Name plus Arrays, which turns a graph's
+//	          raw scores into the fused per-node / per-adjacency-entry
+//	          gain arrays the growth loops consume (the fused-additive
+//	          contract: symmetric edge gains, finite node gains). A
+//	          Binding derives Delta, Value and the §3.1 start Bound
+//	          from those arrays; the bound counts the edge gains'
+//	          positive part, so it stays admissible on every graph. One
+//	          fixed registry (New/Names) holds "willingness" (Eq. 1),
+//	          which aliases the graph's own fused slabs so the seam is
+//	          bit-identical to the pre-seam code, and "friend", which
+//	          scores noisy-or friend-making likelihood (arXiv
+//	          1502.06682).
 //	solver  — the four paper algorithms behind a registry
 //	          (Register/New/Names) with the context-aware entry point
 //	          Solve(ctx, g, req). The driver decomposes the sample budget
@@ -40,12 +39,13 @@
 //	          each start's tasks run on its Region when the (K−1)-hop
 //	          ball is small enough (Request.Region: auto/off/always,
 //	          results-neutral by construction). Solvers consume the
-//	          objective seam only — an objective.Binding's arrays, Delta
-//	          and Bound — so every algorithm, bound and cache works for
-//	          any registered objective unchanged. WithPrep shares a
-//	          precomputed start ranking (objective Bound scores) across
-//	          calls (per-call solves build a partial top-t ranking
-//	          instead of sorting the graph), WithWorkspacePool recycles
+//	          objective seam only — an objective.Binding's arrays and
+//	          Bound — so every algorithm, bound and cache works for any
+//	          registered objective unchanged, at the request's own
+//	          starts and samples. WithPrep shares a precomputed start
+//	          ranking (Binding.Bound scores) across calls (per-call
+//	          solves build a partial top-t ranking instead of sorting
+//	          the graph), WithWorkspacePool recycles
 //	          task workspaces across calls (a solve without one recycles
 //	          them within the call), WithRegionCache shares a bounded LRU
 //	          of extracted (start, radius) regions. There is one

@@ -204,12 +204,6 @@ type Report struct {
 	// the same request would return. Solvers never set it — only the
 	// admission layer does — so library results always report false.
 	Degraded bool `json:"degraded,omitempty"`
-
-	// Policy records the objective's applied scale-adaptive budget plan
-	// (the human-readable objective.Plan.Policy string). Empty when the
-	// objective expressed no plan — in particular for the default
-	// willingness objective, so its wire reports are unchanged.
-	Policy string `json:"policy,omitempty"`
 }
 
 // ElapsedMillis returns the wall-clock solve time in milliseconds.

@@ -12,7 +12,9 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"waso/internal/bitset"
 	"waso/internal/graph"
 	"waso/internal/rng"
 )
@@ -152,39 +154,30 @@ func PreferentialAttachment(n, m int, seed uint64) (*graph.Graph, error) {
 		endpoints = append(endpoints, graph.NodeID(m0-1), 0)
 	}
 
-	// The hint is capped at n: the loop runs only when m < n−1.
-	chosen := make(map[graph.NodeID]struct{}, min(m, n))
+	// targets holds one node's m distinct picks and is reused across
+	// nodes; chosen marks them and is cleared through targets, so each
+	// node costs O(m) and allocates nothing. The capacity is capped at n:
+	// the loop runs only when m < n−1.
+	chosen := bitset.New(n)
+	targets := make([]graph.NodeID, 0, min(m, n))
 	for v := m0; v < n; v++ { // v ≥ m0 = m+1, so m distinct targets always exist
-		clear(chosen)
-		targets := m
-		for len(chosen) < targets {
+		targets = targets[:0]
+		for len(targets) < m {
 			u := endpoints[structure.IntN(len(endpoints))]
-			if _, dup := chosen[u]; dup {
+			if chosen.Contains(int(u)) {
 				continue
 			}
-			chosen[u] = struct{}{}
+			chosen.Add(int(u))
+			targets = append(targets, u)
 		}
-		// Attach in ascending target order so the τ draw sequence is a
-		// deterministic function of the chosen set, not of map iteration.
-		ordered := make([]graph.NodeID, 0, targets)
-		//lint:allow determinism(key collection only; sortNodeIDs below fixes the order before any draw)
-		for u := range chosen {
-			ordered = append(ordered, u)
-		}
-		sortNodeIDs(ordered)
-		for _, u := range ordered {
+		chosen.ClearList(targets)
+		// Attach in ascending target order, so the τ draw sequence is a
+		// function of the chosen set, not of the order it was drawn in.
+		slices.Sort(targets)
+		for _, u := range targets {
 			addEdge(graph.NodeID(v), u)
 			endpoints = append(endpoints, graph.NodeID(v), u)
 		}
 	}
 	return b.Build()
-}
-
-// sortNodeIDs sorts ids ascending (insertion sort — len is at most m).
-func sortNodeIDs(ids []graph.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -190,3 +190,20 @@ func TestPreferentialAttachmentRingOnly(t *testing.T) {
 		t.Errorf("building a 100-node ring allocated %d bytes, want under 1 MiB", d)
 	}
 }
+
+// TestPreferentialAttachmentAllocs: attaching a node allocates nothing, so
+// building a power-law graph costs about as many allocations as the ER
+// graph of the same size (the shared Builder's), not one or more per node.
+func TestPreferentialAttachmentAllocs(t *testing.T) {
+	allocs := func(kind string) float64 {
+		s := Spec{Kind: kind, N: 20000, AvgDeg: 8, Seed: 1}
+		return testing.AllocsPerRun(2, func() {
+			if _, err := s.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if pl, er := allocs("powerlaw"), allocs("er"); pl > 2*er {
+		t.Errorf("powerlaw n=20000 build: %v allocs, want at most twice the ER build's %v", pl, er)
+	}
+}

@@ -24,14 +24,15 @@ import (
 //     picks uniformly at random, so control flow diverges between runs.
 //
 // Scope is the call graph reachable from the result-path entry points:
-// functions named Solve or execTask (the solver paths) and the Objective
-// contract methods Delta, Bound, Arrays and Plan (the scoring paths —
-// every value they return lands in Report.Best, so a clock read or map
-// range there is exactly as fatal as one in a Solve). Packages declaring
-// none of these — the substrate packages — are checked whole; registry
-// plumbing like objective.Names, unreachable from the entry points, is
-// deliberately out of scope. Legitimate sites (advisory timing of Report.Elapsed,
-// map ranges whose keys are sorted before use) carry an explicit
+// functions named Solve or execTask (the solver paths) and the scoring
+// paths Delta, Bound and Arrays (objective.Binding's Delta and Bound, and
+// each objective's Arrays — every value they return lands in
+// Report.Best, so a clock read or map range there is exactly as fatal as
+// one in a Solve). Packages declaring none of these — the substrate
+// packages — are checked whole; registry plumbing like objective.Names,
+// unreachable from the entry points, is deliberately out of scope.
+// Legitimate sites (advisory timing of Report.Elapsed, map ranges whose
+// keys are sorted before use) carry an explicit
 // //lint:allow determinism(reason) so every exemption is visible and
 // reviewed in the diff that introduces it.
 var Determinism = &Analyzer{
@@ -78,13 +79,13 @@ func runDeterminism(pass *Pass) error {
 	graph := buildCallGraph(pass)
 
 	// Roots: the result-path entry points — Solve/execTask in the solver
-	// layer, the Objective contract methods in the scoring layer. A package
-	// that declares none of them (sampling, graph, gen — substrates wholly
-	// on the result path) is checked in full.
+	// layer, Delta/Bound/Arrays in the scoring layer. A package that
+	// declares none of them (sampling, graph, gen — substrates wholly on
+	// the result path) is checked in full.
 	var roots []*types.Func
 	for fn := range graph.decls {
 		switch fn.Name() {
-		case "Solve", "execTask", "Delta", "Bound", "Arrays", "Plan":
+		case "Solve", "execTask", "Delta", "Bound", "Arrays":
 			roots = append(roots, fn)
 		}
 	}

@@ -62,7 +62,7 @@ func notReachable() time.Time { return time.Now() }
 
 var _ = notReachable
 
-// Delta mirrors the Objective contract method: it is a result-path root —
+// Delta mirrors objective.Binding.Delta: it is a result-path root —
 // its return value becomes Report.Best — so clock reads inside it are
 // findings exactly like in Solve.
 func Delta(m map[int]int) float64 {

@@ -22,7 +22,7 @@ import (
 // Edge values are positive and Node values finite, satisfying the
 // fused-additive bound contract, and the same k-group connectivity shape
 // applies unchanged.
-type Friend struct{ Additive }
+type Friend struct{}
 
 // Name implements Objective.
 func (Friend) Name() string { return "friend" }
@@ -48,5 +48,3 @@ func (Friend) Arrays(g *graph.Graph) Arrays {
 	}
 	return Arrays{Edge: edge, Node: node}
 }
-
-func init() { Register(Friend{}) }

@@ -2,8 +2,8 @@
 // solver. The graph stores topology and the raw per-node interest (η) and
 // per-edge tightness (τ) scores; an Objective turns them into the two
 // fused arrays the growth loops actually consume — one gain per node and
-// one gain per adjacency entry — plus the search-budget plan for a given
-// graph scale.
+// one gain per adjacency entry. That is all an objective supplies: a Name
+// and its Arrays.
 //
 // The contract is fused-additive: for an objective with arrays (Node,
 // Edge), the marginal gain of adding v to a partial group S is
@@ -13,24 +13,24 @@
 // and the value of a group F is Σ_{v∈F} Node[v] plus Σ Edge over the
 // edges inside F, each undirected edge counted once. Edge values must be
 // symmetric per undirected edge (the entry at v for u bit-equals the
-// entry at u for v), and Node values finite; the §3.1 start-node bound
-// counts Edge's positive part. That bound — Bound(v) = Node[v] + Σ
-// incident max(Edge, 0) — is admissible (Δ(v|S) ≤ Bound(v) for every S)
-// on every graph, negative τ included, so the solvers' shared-incumbent
-// pruning and the CBAS phase-1 ranking carry over to every objective
-// unchanged.
+// entry at u for v), and Node values finite. Δ, the group value and the
+// §3.1 start-node bound are therefore functions of the arrays alone, and
+// a Binding computes all three (Delta, Value, Bound) the same way for
+// every objective. The bound — Bound(v) = Node[v] + Σ incident max(Edge,
+// 0) — is admissible (Δ(v|S) ≤ Bound(v) for every S) on every graph,
+// negative τ included, so the solvers' shared-incumbent pruning and the
+// CBAS phase-1 ranking carry over to every objective unchanged.
 //
-// Objectives register themselves by name exactly like solvers
-// (Register/New/Names); "willingness" is the extracted paper default and
-// aliases the graph's own fused arrays, so solving it through the seam is
-// bit-identical to the pre-seam code.
+// The objectives form one fixed registry behind New/Names; "willingness"
+// is the paper default and aliases the graph's own fused arrays, so
+// solving it through the seam is bit-identical to the pre-seam code.
 package objective
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"waso/internal/graph"
@@ -53,50 +53,15 @@ type Arrays struct {
 	Node []float64
 }
 
-// Scale is the instance size an objective plans its search budget from:
-// node and undirected-edge counts, mean degree, and the requested group
-// size k.
-type Scale struct {
-	N, M   int
-	AvgDeg float64
-	K      int
-}
-
-// Plan is an objective's search-budget advice for one Scale. Zero fields
-// mean "no opinion — keep the request's value": Starts/Samples override
-// the request when positive (Samples only for sampling solvers),
-// RegionCap replaces the solver's autoRegionCap heuristic when positive.
-// Policy is a human-readable description of the applied plan, surfaced on
-// Report.Policy so benchmark rows and API clients can see what budget
-// actually ran. Plan must be a pure function of Scale — the solvers rely
-// on that for worker-count invariance and the greedy-warm quality gate.
-type Plan struct {
-	Starts    int
-	Samples   int
-	RegionCap int
-	Policy    string
-}
-
 // Objective is one scoring semantics over a social graph. Implementations
 // must be stateless values: all per-graph state lives in the Binding, and
-// Delta/Bound/Arrays/Plan must be deterministic (the wasolint determinism
-// analyzer checks their result paths like solver code).
-//
-// Embed Additive to inherit the canonical fused-additive Delta/Bound and
-// a no-opinion Plan; then an objective is just Name + Arrays.
+// Arrays must be deterministic (the wasolint determinism analyzer checks
+// its result path like solver code).
 type Objective interface {
 	// Name is the registry key and wire identifier.
 	Name() string
 	// Arrays builds the fused per-node / per-entry gain arrays for g.
 	Arrays(g *graph.Graph) Arrays
-	// Delta returns the marginal gain of adding v to the set identified
-	// by inSet. O(deg v).
-	Delta(b *Binding, v graph.NodeID, inSet func(graph.NodeID) bool) float64
-	// Bound returns an upper bound on Delta(v | S) over every S — the
-	// CBAS phase-1 ranking score and pruning-table ingredient.
-	Bound(b *Binding, v graph.NodeID) float64
-	// Plan adapts the search budget to the instance scale.
-	Plan(s Scale) Plan
 }
 
 // Binding is an objective evaluated over one graph: the graph's CSR
@@ -142,14 +107,37 @@ func (b *Binding) CSR() (off []int64, nbr []graph.NodeID, edge, node []float64) 
 	return b.off, b.nbr, b.edge, b.node
 }
 
-// Score returns the objective's Bound for v — the ranking score Prep
-// sorts start candidates by.
-func (b *Binding) Score(v graph.NodeID) float64 { return b.obj.Bound(b, v) }
-
-// Delta returns the objective's marginal gain of adding v to the set
-// identified by inSet.
+// Delta returns the fused-additive marginal gain of adding v to the set
+// identified by inSet: Node[v] plus the Edge entries toward in-set
+// neighbors. O(deg v).
 func (b *Binding) Delta(v graph.NodeID, inSet func(graph.NodeID) bool) float64 {
-	return b.obj.Delta(b, v, inSet)
+	d := b.node[v]
+	for p := b.off[v]; p < b.off[v+1]; p++ {
+		if inSet(b.nbr[p]) {
+			d += b.edge[p]
+		}
+	}
+	return d
+}
+
+// Bound returns the §3.1 admissible bound on Delta(v|S) over every S —
+// the CBAS phase-1 ranking score and pruning-table ingredient: Node[v]
+// plus the positive part of every incident Edge entry, accumulated in
+// adjacency order (the same float order the pre-seam NodeScore used,
+// keeping willingness rankings bit-identical on graphs without negative
+// τ). A negative entry can only lower Delta, so it counts as 0: summing
+// it would let the bound fall below Delta(v|S) for an S that leaves that
+// neighbour out. It is a branch rather than the builtin max, which must
+// also order NaN and signed zeros and costs more in this loop, run for
+// every node at load.
+func (b *Binding) Bound(v graph.NodeID) float64 {
+	s := b.node[v]
+	for p := b.off[v]; p < b.off[v+1]; p++ {
+		if e := b.edge[p]; e > 0 {
+			s += e
+		}
+	}
+	return s
 }
 
 // Value evaluates the objective over a whole group under the
@@ -188,64 +176,26 @@ func (b *Binding) Value(set []graph.NodeID) float64 {
 	return w
 }
 
-// Plan applies the objective's budget planning to the bound graph at
-// group size k.
-func (b *Binding) Plan(k int) Plan {
-	return b.obj.Plan(Scale{N: b.g.N(), M: b.g.M(), AvgDeg: b.g.AvgDegree(), K: k})
+// Plan is the zero search-budget plan Binding.Plan returns. It exists
+// only because servebench's replica still reads its two fields
+// (servebench/replica.go:285 and :290). ROADMAP queues the servebench
+// change that drops those calls; Plan and Binding.Plan go with it.
+type Plan struct {
+	Starts    int
+	RegionCap int
 }
 
-// Additive supplies the canonical fused-additive Delta and Bound over a
-// Binding's arrays, plus a no-opinion Plan. Embed it so an objective only
-// has to define Name and Arrays (and optionally its own Plan).
-type Additive struct{}
-
-// Delta implements the fused-additive marginal gain: Node[v] plus the
-// Edge entries toward in-set neighbors.
-func (Additive) Delta(b *Binding, v graph.NodeID, inSet func(graph.NodeID) bool) float64 {
-	d := b.node[v]
-	for p := b.off[v]; p < b.off[v+1]; p++ {
-		if inSet(b.nbr[p]) {
-			d += b.edge[p]
-		}
-	}
-	return d
-}
-
-// Bound implements the §3.1 admissible bound: Node[v] plus the positive
-// part of every incident Edge entry, accumulated in adjacency order (the
-// same float order the pre-seam NodeScore used, keeping willingness
-// rankings bit-identical on graphs without negative τ). A negative entry
-// can only lower Delta, so it counts as 0: summing it would let the bound
-// fall below Delta(v|S) for an S that leaves that neighbour out. It is a
-// branch rather than the builtin max, which must also order NaN and
-// signed zeros and costs more in this loop, run for every node at load.
-func (Additive) Bound(b *Binding, v graph.NodeID) float64 {
-	s := b.node[v]
-	for p := b.off[v]; p < b.off[v+1]; p++ {
-		if e := b.edge[p]; e > 0 {
-			s += e
-		}
-	}
-	return s
-}
-
-// Plan returns the zero Plan: no budget opinion.
-func (Additive) Plan(Scale) Plan { return Plan{} }
+// Plan returns the zero Plan for every k: no objective adjusts the
+// search budget. Kept for servebench's replica only (see Plan).
+func (b *Binding) Plan(k int) Plan { return Plan{} }
 
 // ErrUnknown is wrapped by New for unregistered names; transports map it
 // to an invalid-request error.
 var ErrUnknown = errors.New("objective: unknown objective")
 
-var registry = map[string]Objective{}
-
-// Register adds obj under obj.Name(). Objectives call it from init;
-// duplicate names panic (a programmer error).
-func Register(obj Objective) {
-	name := obj.Name()
-	if _, dup := registry[name]; dup {
-		panic("objective: duplicate Register of " + name)
-	}
-	registry[name] = obj
+var registry = map[string]Objective{
+	"friend":      Friend{},
+	"willingness": Willingness{},
 }
 
 // New returns the objective registered under name; "" resolves to
@@ -262,20 +212,4 @@ func New(name string) (Objective, error) {
 }
 
 // Names returns the registered objective names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All returns the registered objectives in Names order.
-func All() []Objective {
-	objs := make([]Objective, 0, len(registry))
-	for _, name := range Names() {
-		objs = append(objs, registry[name])
-	}
-	return objs
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }

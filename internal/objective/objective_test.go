@@ -82,8 +82,8 @@ func TestWillingnessReference(t *testing.T) {
 	}
 
 	// Bound(1) = η₁ + (τ₀₁+τ₁₀) + (τ₁₂+τ₂₁) = 2 + 0.75 + 3.
-	if got := b.Score(1); got != 5.75 {
-		t.Errorf("Score(1) = %v, want 5.75", got)
+	if got := b.Bound(1); got != 5.75 {
+		t.Errorf("Bound(1) = %v, want 5.75", got)
 	}
 	// Δ(2 | {0,1}) = η₂ + (τ₀₂+τ₂₀) + (τ₁₂+τ₂₁) = 3 + 0.3 + 3.
 	if got := b.Delta(2, inSetOf([]graph.NodeID{0, 1})); got != 6.3 {
@@ -101,51 +101,43 @@ func TestWillingnessReference(t *testing.T) {
 	if &a.Edge[0] != &wSum[0] || &a.Node[0] != &interest[0] {
 		t.Error("willingness Arrays copied the graph's fused slabs instead of aliasing them")
 	}
-
-	// No budget opinion: the solvers keep the request's values.
-	if p := b.Plan(8); p != (Plan{}) {
-		t.Errorf("willingness Plan = %+v, want zero plan", p)
-	}
 }
 
 // TestRegistry: name resolution, the empty-name default, unknown-name
-// errors, sorted Names, and duplicate registration.
+// errors that list exactly the registered names, and sorted Names.
 func TestRegistry(t *testing.T) {
 	def, err := New("")
 	if err != nil || def.Name() != Default {
 		t.Fatalf("New(\"\") = %v, %v; want the %s default", def, err, Default)
 	}
-	if _, err := New("entropy"); !errors.Is(err, ErrUnknown) {
-		t.Errorf("New(unknown) error = %v, want ErrUnknown", err)
-	} else if !strings.Contains(err.Error(), "willingness") {
-		t.Errorf("unknown-name error %q does not list the registered names", err)
+	for _, name := range []string{"entropy", "budget"} {
+		if _, err := New(name); !errors.Is(err, ErrUnknown) {
+			t.Errorf("New(%q) error = %v, want ErrUnknown", name, err)
+		} else if !strings.HasSuffix(err.Error(), "(have friend, willingness)") {
+			t.Errorf("unknown-name error %q does not list exactly the registered names", err)
+		}
 	}
 
 	names := Names()
-	if len(names) < 3 {
-		t.Fatalf("Names() = %v, want at least willingness, friend, budget", names)
+	if !slices.Equal(names, []string{"friend", "willingness"}) {
+		t.Fatalf("Names() = %v, want [friend willingness]", names)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
+	for _, name := range names {
+		got, err := New(name)
+		if err != nil || got.Name() != name {
+			t.Errorf("New(%q) = %v, %v", name, got, err)
 		}
 	}
-	for i, obj := range All() {
-		if obj.Name() != names[i] {
-			t.Errorf("All()[%d] = %s, want %s (Names order)", i, obj.Name(), names[i])
-		}
-		got, err := New(names[i])
-		if err != nil || got.Name() != names[i] {
-			t.Errorf("New(%q) = %v, %v", names[i], got, err)
-		}
-	}
+}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(Willingness{})
+// bindAll binds every registered objective over g, in Names order.
+func bindAll(t *testing.T, g *graph.Graph) []*Binding {
+	t.Helper()
+	var bs []*Binding
+	for _, name := range Names() {
+		bs = append(bs, bind(t, name, g))
+	}
+	return bs
 }
 
 // TestFriendProperties: every edge gain is a probability in (0,1),
@@ -255,43 +247,8 @@ func TestEdgeSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, obj := range All() {
-		checkEdgeSymmetric(t, Bind(obj, g))
-		checkEdgeSymmetric(t, Bind(obj, g2))
-	}
-}
-
-// TestBudgetPlan: the scale-adaptive plan is a pure function of Scale,
-// clamps at both extremes, surfaces a policy string, and scores exactly
-// like willingness (same aliased arrays).
-func TestBudgetPlan(t *testing.T) {
-	var obj Budget
-	tiny := Scale{N: 4, M: 3, AvgDeg: 1.5, K: 2}
-	huge := Scale{N: 1 << 20, M: 1 << 23, AvgDeg: 16, K: 32}
-
-	if a, b := obj.Plan(tiny), obj.Plan(tiny); a != b {
-		t.Errorf("Plan not deterministic: %+v vs %+v", a, b)
-	}
-	lo := obj.Plan(tiny)
-	if lo.Starts != 4 || lo.Samples != 64 || lo.RegionCap != 1024 {
-		t.Errorf("tiny plan %+v, want the lower clamps 4/64/1024", lo)
-	}
-	hi := obj.Plan(huge)
-	if hi.Starts != 21 || hi.Samples != 1024 || hi.RegionCap != 1<<15 {
-		t.Errorf("huge plan %+v, want starts=21 samples=1024 regioncap=32768", hi)
-	}
-	for _, p := range []Plan{lo, hi} {
-		if !strings.Contains(p.Policy, "saga:") {
-			t.Errorf("policy %q does not identify the saga plan", p.Policy)
-		}
-	}
-
-	g := buildRef(t)
-	if bw, bb := bind(t, "willingness", g), bind(t, "budget", g); bw.Value([]graph.NodeID{0, 1, 2}) != bb.Value([]graph.NodeID{0, 1, 2}) {
-		t.Error("budget scoring diverged from willingness")
-	}
-	if p := bind(t, "budget", g).Plan(2); p.Policy == "" || p.Starts < 4 {
-		t.Errorf("Binding.Plan(2) = %+v, want a populated saga plan", p)
+	for _, b := range append(bindAll(t, g), bindAll(t, g2)...) {
+		checkEdgeSymmetric(t, b)
 	}
 }
 
@@ -325,8 +282,8 @@ func TestDeltaBoundContract(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"ref", buildRef(t)}, {"signed", buildSigned(t)}} {
-		for _, obj := range All() {
-			t.Run(tc.name+"/"+obj.Name(), func(t *testing.T) { checkDeltaBound(t, Bind(obj, tc.g)) })
+		for _, b := range bindAll(t, tc.g) {
+			t.Run(tc.name+"/"+b.Name(), func(t *testing.T) { checkDeltaBound(t, b) })
 		}
 	}
 }
@@ -335,7 +292,7 @@ func checkDeltaBound(t *testing.T, b *Binding) {
 	g, name := b.Graph(), b.Name()
 	off, nbr, edge, _ := b.CSR()
 	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		bound := b.Score(v)
+		bound := b.Bound(v)
 		for _, set := range [][]graph.NodeID{
 			nil,
 			{0}, {1}, {3},
@@ -392,7 +349,7 @@ func TestBindValidation(t *testing.T) {
 }
 
 // truncated returns arrays for a smaller graph than it is bound to.
-type truncated struct{ Additive }
+type truncated struct{}
 
 func (truncated) Name() string { return "truncated" }
 func (truncated) Arrays(g *graph.Graph) Arrays {

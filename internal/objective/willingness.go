@@ -7,7 +7,7 @@ import "waso/internal/graph"
 // τ_out + τ_in. Its arrays alias the graph's own fused storage — no copy,
 // no float re-derivation — so every solve through the objective seam is
 // bit-identical to the pre-seam willingness code.
-type Willingness struct{ Additive }
+type Willingness struct{}
 
 // Name implements Objective.
 func (Willingness) Name() string { return "willingness" }
@@ -18,5 +18,3 @@ func (Willingness) Arrays(g *graph.Graph) Arrays {
 	_, _, wSum, interest := g.FusedCSR()
 	return Arrays{Edge: wSum, Node: interest}
 }
-
-func init() { Register(Willingness{}) }

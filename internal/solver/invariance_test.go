@@ -16,9 +16,8 @@ import (
 // only ever abandons growths whose upper bound cannot beat a completed
 // candidate, so neither the worker schedule (which decides how fast the
 // incumbent rises) nor pruning itself may change the answer — only the
-// advisory Pruned counter. Objectives with a scale-adaptive Plan (budget)
-// are covered too: the plan depends only on (graph scale, K), never on the
-// worker count, so the invariance must survive its budget overrides.
+// advisory Pruned counter. Every objective runs the request's own Starts
+// and Samples, so each one is checked at the same budget.
 //
 // The solves run on an attached 4-worker executor, so the worker counts
 // are not limited by the host's core count and the schedules genuinely

@@ -5,9 +5,8 @@ import (
 	"waso/internal/objective"
 )
 
-// testBind binds the named objective over g; "" means the default
-// willingness objective. The registry panics tests care about are
-// exercised elsewhere — here an unknown name is a fixture bug.
+// testBindAs binds the named objective over g; "" means the default
+// willingness objective. An unknown name is a fixture bug.
 func testBindAs(name string, g *graph.Graph) *objective.Binding {
 	obj, err := objective.New(name)
 	if err != nil {

@@ -41,21 +41,6 @@ func autoRegionCap(n int) int {
 	return c
 }
 
-// regionCapFor returns the extraction node cap for (binding, radius): the
-// objective's planned RegionCap when it has one (clamped to n), else the
-// autoRegionCap heuristic. The plan is a pure function of graph scale and
-// K = radius+1, so the cap is stable for a (start, radius) cache key.
-func regionCapFor(b *objective.Binding, radius int) int {
-	n := b.Graph().N()
-	if plan := b.Plan(radius + 1); plan.RegionCap > 0 {
-		if plan.RegionCap < n {
-			return plan.RegionCap
-		}
-		return n
-	}
-	return autoRegionCap(n)
-}
-
 // ballFits is the shared branching estimate behind both worthwhile
 // checks: a ball that starts at firstHop expected nodes and branches by
 // the graph's average degree for the remaining radius−1 hops plausibly
@@ -114,7 +99,7 @@ func planRegions(ctx context.Context, b *objective.Binding, starts []graph.NodeI
 	}
 	radius := req.K - 1
 	always := req.Region == core.RegionAlways
-	cap := regionCapFor(b, radius)
+	cap := autoRegionCap(g.N())
 	if !always && !regionWorthwhile(g, radius, cap) {
 		return nil, g.N()
 	}
@@ -292,7 +277,7 @@ func (rc *RegionCache) Acquire(start graph.NodeID, radius int) *graph.Region {
 		rc.rb = graph.NewRegionBuilder(rc.g)
 	}
 	_, _, edge, node := rc.b.CSR()
-	r := rc.rb.Extract(start, radius, regionCapFor(rc.b, radius), edge, node)
+	r := rc.rb.Extract(start, radius, autoRegionCap(rc.g.N()), edge, node)
 
 	rc.mu.Lock()
 	rc.byKey[key] = rc.lru.PushFront(&regionEntry{key: key, r: r})
@@ -356,9 +341,9 @@ func (rc *RegionCache) CloneFor(newB *objective.Binding, keep func(start graph.N
 	defer rc.mu.Unlock()
 	nc.hits, nc.misses, nc.negHits = rc.hits, rc.misses, rc.negHits
 	nc.evictions, nc.invalidated = rc.evictions, rc.invalidated
+	capChanged := autoRegionCap(nc.g.N()) != autoRegionCap(rc.g.N())
 	for el := rc.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*regionEntry)
-		capChanged := regionCapFor(newB, e.key.radius) != regionCapFor(rc.b, e.key.radius)
 		if (e.r == nil && capChanged) || !keep(e.key.start, e.key.radius) {
 			nc.invalidated++
 			continue

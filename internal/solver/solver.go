@@ -18,13 +18,12 @@
 // What the search maximizes is pluggable: Request.Objective names an
 // internal/objective implementation (default "willingness", the paper's
 // Eq. 1), which supplies the fused per-node and per-entry gain arrays the
-// growth loops consume, the §3.1-style admissible bound behind the
-// pruning table, and optionally a scale-adaptive budget plan
-// (objective.Plan) that overrides Starts/Samples and the region cap —
-// surfaced on Report.Policy. All driver invariants below hold per
-// objective, and the willingness objective aliases the graph's own fused
-// arrays, so solving it through the seam is bit-identical to the
-// pre-seam solver.
+// growth loops consume; the objective's Binding derives the §3.1
+// admissible bound behind the start ranking and the pruning table from
+// those arrays. The request's Starts and Samples are the search budget
+// for every objective. All driver invariants below hold per objective,
+// and the willingness objective aliases the graph's own fused arrays, so
+// solving it through the seam is bit-identical to the pre-seam solver.
 //
 // Every solver runs the same deterministic multi-start driver. The top
 // Request.Starts nodes by bound score each get an independent search, and the
@@ -183,8 +182,8 @@ type Prep struct {
 	limit  int            // 0 = full ranking; else only the top limit nodes are valid
 }
 
-// NewPrep ranks every node of the binding's graph by the objective's
-// bound score. O(n log n + m). A resident Prep retains the ranking, the
+// NewPrep ranks every node of the binding's graph by the binding's
+// Bound. O(n log n + m). A resident Prep retains the ranking, the
 // ranked score sequence (so Rescore can delta-update after a graph
 // mutation without re-scoring every node), and the prefix sums of that
 // sequence, so topSums for any k is a zero-allocation slice of
@@ -195,7 +194,7 @@ func NewPrep(b *objective.Binding) *Prep {
 	scores := make([]float64, n)
 	p := &Prep{b: b, g: g, ranked: make([]graph.NodeID, n)}
 	for i := range scores {
-		scores[i] = b.Score(graph.NodeID(i))
+		scores[i] = b.Bound(graph.NodeID(i))
 		p.ranked[i] = graph.NodeID(i)
 	}
 	slices.SortFunc(p.ranked, func(a, b graph.NodeID) int {
@@ -253,7 +252,7 @@ func (p *Prep) Rescore(newB *objective.Binding, touched []graph.NodeID) *Prep {
 			continue
 		}
 		mark[v] = true
-		fresh = append(fresh, cand{score: newB.Score(v), id: v})
+		fresh = append(fresh, cand{score: newB.Bound(v), id: v})
 	}
 	slices.SortFunc(fresh, func(a, b cand) int {
 		if a.score != b.score {
@@ -352,7 +351,7 @@ func newPartialPrep(b *objective.Binding, t int) *Prep {
 		}
 	}
 	for i := 0; i < n && t > 0; i++ {
-		c := cand{score: b.Score(graph.NodeID(i)), id: graph.NodeID(i)}
+		c := cand{score: b.Bound(graph.NodeID(i)), id: graph.NodeID(i)}
 		if len(h) < t {
 			h = append(h, c)
 			for j := len(h) - 1; j > 0; {
@@ -550,23 +549,9 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	if err := ctx.Err(); err != nil {
 		return core.Report{}, err
 	}
-	// Resolve the objective and let it plan the search budget from the
-	// instance scale before anything is sized off the request: Plan is a
-	// pure function of (graph scale, K), so the override is deterministic,
-	// worker-independent, and identical across solvers — which keeps the
-	// greedy-warm CBASND ≥ DGreedy guarantee intact per objective.
 	obj, err := objective.New(req.Objective)
 	if err != nil {
 		return core.Report{}, fmt.Errorf("solver: %s: %w", name, err)
-	}
-	plan := obj.Plan(objective.Scale{N: g.N(), M: g.M(), AvgDeg: g.AvgDegree(), K: req.K})
-	if plan.Starts > 0 {
-		req.Starts = plan.Starts
-	}
-	if plan.Samples > 0 && budget > 0 {
-		// Deterministic solvers (budget 0) take no samples regardless of
-		// plan; zero-budget requests keep their explicit ErrNoGroup path.
-		budget = plan.Samples
 	}
 	// One bound-score ranking feeds both start selection and the pruning
 	// bound; workers share the read-only topSum slice. A context-attached
@@ -667,7 +652,7 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 		return core.Report{}, err
 	}
 
-	rep := core.Report{Algo: name, Starts: len(starts), Policy: plan.Policy}
+	rep := core.Report{Algo: name, Starts: len(starts)}
 	best := core.Solution{Willingness: math.Inf(-1)}
 	for _, oc := range outcomes {
 		rep.SamplesDrawn += oc.samples
