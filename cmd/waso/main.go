@@ -59,10 +59,8 @@ type config struct {
 	starts    int
 	workers   int
 	alpha     float64
-	sampler   string
 	regions   string
 	objective string
-	noPrune   bool
 	csv       bool
 	verbose   bool
 	batch     string
@@ -81,12 +79,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.Uint64Var(&cfg.seed, "seed", 1, "base seed; instance i uses seed+i")
 	fs.IntVar(&cfg.samples, "samples", core.DefaultSamples, "random samples per start node (0 = greedy completion only)")
 	fs.IntVar(&cfg.starts, "starts", core.DefaultStarts, "start nodes per solver run")
-	fs.IntVar(&cfg.workers, "workers", 0, "cap on one solve's parallel tasks (0 = the whole GOMAXPROCS-sized executor)")
+	fs.IntVar(&cfg.workers, "workers", 0, "size of the executor the solves run on (0 = GOMAXPROCS)")
 	fs.Float64Var(&cfg.alpha, "alpha", core.DefaultAlpha, "CBASND adapted-probability exponent")
-	fs.StringVar(&cfg.sampler, "sampler", string(core.SamplerAuto), "CBASND weighted sampler: auto, linear or fenwick")
 	fs.StringVar(&cfg.regions, "regions", string(core.RegionAuto), "per-start (k−1)-hop search regions: auto, off or always (results-neutral)")
 	fs.StringVar(&cfg.objective, "objective", core.DefaultObjective, "scoring objective ("+strings.Join(objective.Names(), ",")+")")
-	fs.BoolVar(&cfg.noPrune, "noprune", false, "disable the CBAS/CBASND pruning bound")
 	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of an aligned table")
 	fs.BoolVar(&cfg.verbose, "v", false, "print per-seed solutions")
 	fs.StringVar(&cfg.batch, "batch", "", "path to a JSON file of batch items ({algo, request} pairs) to run against one generated instance")
@@ -110,11 +106,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	req.Starts = cfg.starts
 	req.Samples = cfg.samples
 	req.Alpha = cfg.alpha
-	req.Sampler = core.Sampler(cfg.sampler)
 	req.Region = core.RegionMode(cfg.regions)
 	req.Objective = cfg.objective
-	req.Prune = !cfg.noPrune
-	req.Workers = cfg.workers
 	if err := req.Validate(); err != nil {
 		return err
 	}
@@ -129,6 +122,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Every solve of the run schedules its tasks on one -workers-sized
+	// executor; Best does not depend on its size.
+	ex := solver.NewExecutor(cfg.workers)
+	defer ex.Close()
+	ctx = solver.WithExecutor(ctx, ex)
 
 	type algoStats struct {
 		will, millis []float64
@@ -215,9 +213,9 @@ func runBatch(ctx context.Context, cfg config, out io.Writer) error {
 	if err := dec.Decode(&fileItems); err != nil {
 		return fmt.Errorf("%s: %w", cfg.batch, err)
 	}
-	// Items are fully explicit documents: -workers and the other experiment
-	// flags deliberately do not leak into them ("workers": 0 means no cap,
-	// exactly as it does on the wire).
+	// Items are fully explicit documents: the experiment flags deliberately
+	// do not leak into them, and they run on the service's own executor,
+	// exactly as they do on the wire.
 	items := make([]core.BatchItem, len(fileItems))
 	for i, fi := range fileItems {
 		req, err := core.DecodeRequest(fi.Request)

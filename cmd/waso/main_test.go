@@ -74,10 +74,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// Golden runs pin -workers 1: solution cells are worker-independent by
-// design, but the pruned counter is advisory — it depends on how fast the
-// shared incumbent rises under a given schedule, and only a single
-// sequential worker makes it reproducible across machines.
+// Golden runs pin -workers 1, a one-worker executor: solution cells are
+// independent of the executor's size by design, but the pruned counter is
+// advisory — it depends on how fast the shared incumbent rises under a
+// given schedule, and only a single sequential worker makes it
+// reproducible across machines.
 
 // TestGoldenTable locks the aligned-table rendering of a small
 // deterministic experiment, including per-seed verbose lines.
@@ -119,7 +120,8 @@ func TestBadFlags(t *testing.T) {
 		{"-samples", "-1"},
 		{"-starts", "0"},
 		{"-seeds", "0"},
-		{"-sampler", "quantum"},
+		{"-sampler", "linear"},
+		{"-noprune"},
 		{"-algo", "oracle"},
 		{"-gen", "smallworld"},
 		{"-objective", "budget"},

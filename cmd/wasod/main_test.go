@@ -322,7 +322,7 @@ func TestSolveDeadlineHTTP(t *testing.T) {
 	}
 	began := time.Now()
 	status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
-		`{"graph":"big","algo":"cbasnd","timeout_ms":1,"request":{"k":20,"samples":1048576,"prune":false}}`)
+		`{"graph":"big","algo":"cbasnd","timeout_ms":1,"request":{"k":20,"samples":1048576}}`)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("deadline solve: %d %s, want 504", status, body)
 	}
@@ -349,7 +349,7 @@ func TestTimeoutClampHTTP(t *testing.T) {
 	}
 	began := time.Now()
 	status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
-		`{"graph":"big","algo":"cbasnd","timeout_ms":86400000,"request":{"k":20,"samples":1048576,"prune":false}}`)
+		`{"graph":"big","algo":"cbasnd","timeout_ms":86400000,"request":{"k":20,"samples":1048576}}`)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("clamped solve: %d %s, want 504", status, body)
 	}
@@ -387,6 +387,38 @@ func TestSolveErrorsHTTP(t *testing.T) {
 	if status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
 		`{"graph":"g","algo":"cbas","request":{"k":5,"samples":0}}`); status != http.StatusOK {
 		t.Errorf("zero samples: %d %s, want 200", status, body)
+	}
+	// region is still a request field.
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
+		`{"graph":"g","algo":"cbasnd","request":{"k":5,"region":"off"}}`); status != http.StatusOK {
+		t.Errorf("region off: %d %s, want 200", status, body)
+	}
+	// A request says what to solve, not how: the removed execution knobs
+	// are unknown fields, and a budget past the Starts × Samples bound —
+	// which a solve would lay out as tasks before its first deadline
+	// check — is refused before any allocation. Each 400 names the field.
+	for _, tc := range []struct {
+		name, request string
+		fields        []string
+	}{
+		{"sampler", `{"k":5,"sampler":"linear"}`, []string{`unknown field "sampler"`}},
+		{"prune", `{"k":5,"prune":false}`, []string{`unknown field "prune"`}},
+		{"workers", `{"k":5,"workers":2}`, []string{`unknown field "workers"`}},
+		{"2^40 samples", `{"k":5,"samples":1099511627776}`, []string{"Request.Starts", "Request.Samples"}},
+		{"overflowing budget", `{"k":5,"starts":4611686018427387904,"samples":4}`, []string{"Request.Starts", "Request.Samples"}},
+	} {
+		status, body := doJSON(t, "POST", ts.URL+"/v1/solve",
+			`{"graph":"g","algo":"cbasnd","request":`+tc.request+`}`)
+		var msg struct{ Error string }
+		if status != http.StatusBadRequest || json.Unmarshal(body, &msg) != nil {
+			t.Errorf("%s: %d %s, want a 400 error body", tc.name, status, body)
+			continue
+		}
+		for _, f := range tc.fields {
+			if !strings.Contains(msg.Error, f) {
+				t.Errorf("%s: error %q does not name %s", tc.name, msg.Error, f)
+			}
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 // The code layers strictly, lower layers never importing higher ones:
 //
 //	core    — wire-ready vocabulary: Request (k, starts, samples, seed,
-//	          alpha, sampler, prune — no sentinel values, explicit
-//	          DefaultRequest/Validate), Report, Solution.
+//	          alpha, objective, region — what to solve, no execution
+//	          knobs, no sentinel values, explicit DefaultRequest/Validate
+//	          with a 2^24 bound on starts × samples), Report, Solution.
 //	graph   — immutable CSR social graph carrying the raw per-node
 //	          interest (η) and per-edge tightness (τ) scores plus a fused
 //	          τ_out+τ_in adjacency for the solver hot loops, the
@@ -34,8 +35,8 @@
 //	          Solve(ctx, g, req). The driver decomposes the sample budget
 //	          into (start, sample-chunk) tasks run on an Executor with a
 //	          shared lock-free incumbent for cross-start pruning:
-//	          Report.Best is independent of the worker count, while the
-//	          Pruned counter is advisory (schedule-dependent). Locality:
+//	          Report.Best is independent of the executor's size, while
+//	          the Pruned counter is advisory (schedule-dependent). Locality:
 //	          each start's tasks run on its Region when the (K−1)-hop
 //	          ball is small enough (Request.Region: auto/off/always,
 //	          results-neutral by construction). Solvers consume the

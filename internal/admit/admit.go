@@ -18,13 +18,14 @@
 //  1. Drain: once StartDrain is called every request is rejected with
 //     ReasonDrain; in-flight work is unaffected.
 //  2. Queue depth: a hard cap on executor backlog. Bulk work sheds at
-//     BulkQueueFrac of the cap so interactive traffic keeps headroom when
+//     bulkQueueFrac of the cap so interactive traffic keeps headroom when
 //     batch load is the source of the pressure; in the band between
-//     DegradeFrac and the lane's cap, degrade-mode requests are admitted
+//     degradeFrac and the lane's cap, degrade-mode requests are admitted
 //     with clamped budgets instead of shed.
 //  3. Latency: the queue-wait p99 over a sliding window, latched with
-//     hysteresis — shedding starts above P99Limit and stops only below
-//     P99Resume, so the controller does not flap around the threshold.
+//     hysteresis — shedding starts above P99Limit and stops only at
+//     resumeFrac of it, so the controller does not flap around the
+//     threshold.
 //     While latched, bulk is shed and interactive is degraded (or shed
 //     when degrade mode is off).
 //  4. In-flight: a hard cap on concurrently admitted solves across all
@@ -61,6 +62,19 @@ const (
 	ReasonStorage = "storage"
 )
 
+// The fixed fractions of the shedding policy.
+const (
+	// bulkQueueFrac is the fraction of MaxQueue at which bulk-priority
+	// work sheds: bulk gives way first, preserving interactive headroom.
+	bulkQueueFrac = 0.8
+	// degradeFrac is the fraction of a lane's queue cap from which
+	// degrade-mode requests run with clamped budgets.
+	degradeFrac = 0.5
+	// resumeFrac is the hysteresis floor as a fraction of P99Limit:
+	// latched latency shedding stops once the p99 falls to it.
+	resumeFrac = 0.5
+)
+
 // Config are the admission thresholds. The zero value admits everything —
 // a controller is always constructed, so the metric families always exist;
 // overload protection is opt-in per knob.
@@ -68,21 +82,13 @@ type Config struct {
 	// MaxQueue is the hard cap on executor queue depth (tasks accepted but
 	// not yet running). 0 disables queue-based shedding.
 	MaxQueue int
-	// BulkQueueFrac is the fraction of MaxQueue at which bulk-priority
-	// work is shed (default 0.8): bulk gives way first, preserving
-	// interactive headroom. Clamped to (0, 1].
-	BulkQueueFrac float64
-	// DegradeFrac is the fraction of a lane's queue cap above which
-	// degrade-mode requests run with clamped budgets (default 0.5).
-	DegradeFrac float64
 
 	// P99Limit sheds on the sliding-window queue-wait p99 exceeding this
-	// (0 disables latency shedding). P99Resume is the hysteresis floor:
-	// shedding stops only once the p99 falls below it (default
-	// P99Limit/2). Window is the sliding-window width (default 10s).
-	P99Limit  time.Duration
-	P99Resume time.Duration
-	Window    time.Duration
+	// (0 disables latency shedding); shedding then stops only once the p99
+	// falls to resumeFrac of it. Window is the sliding-window width
+	// (default 10s).
+	P99Limit time.Duration
+	Window   time.Duration
 
 	// MaxInflight caps concurrently admitted solves across all clients
 	// (0 = unlimited). The queue cap bounds executor backlog; this bounds
@@ -177,17 +183,8 @@ type Controller struct {
 // New builds a controller. Defaults are applied here so a zero Config is a
 // pure pass-through and partial configs behave sensibly.
 func New(cfg Config, sig Signals) *Controller {
-	if cfg.BulkQueueFrac <= 0 || cfg.BulkQueueFrac > 1 {
-		cfg.BulkQueueFrac = 0.8
-	}
-	if cfg.DegradeFrac <= 0 || cfg.DegradeFrac > 1 {
-		cfg.DegradeFrac = 0.5
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 10 * time.Second
-	}
-	if cfg.P99Resume <= 0 || cfg.P99Resume > cfg.P99Limit {
-		cfg.P99Resume = cfg.P99Limit / 2
 	}
 	if cfg.DegradeSamples <= 0 {
 		cfg.DegradeSamples = 200
@@ -231,9 +228,9 @@ func (c *Controller) Admit(client string, bulk bool) (Decision, func()) {
 		depth, limit := total, c.cfg.MaxQueue
 		if bulk {
 			// Bulk sheds on its own share at a fraction of the cap, so a
-			// pure-bulk flood saturates at BulkQueueFrac and interactive
+			// pure-bulk flood saturates at bulkQueueFrac and interactive
 			// traffic still has room to be admitted.
-			depth, limit = bulkQ, int(float64(c.cfg.MaxQueue)*c.cfg.BulkQueueFrac)
+			depth, limit = bulkQ, int(float64(c.cfg.MaxQueue)*bulkQueueFrac)
 			if limit < 1 {
 				limit = 1
 			}
@@ -241,7 +238,7 @@ func (c *Controller) Admit(client string, bulk bool) (Decision, func()) {
 		switch {
 		case depth >= limit:
 			return c.shedLocked(ReasonQueue), nil
-		case c.cfg.Degrade && float64(depth) >= float64(limit)*c.cfg.DegradeFrac:
+		case c.cfg.Degrade && float64(depth) >= float64(limit)*degradeFrac:
 			degrade = true
 		}
 	}
@@ -321,7 +318,7 @@ func (c *Controller) evalLatencyLocked() {
 		switch {
 		case c.lastP99 > c.cfg.P99Limit:
 			c.latched = true
-		case c.lastP99 <= c.cfg.P99Resume:
+		case c.lastP99 <= time.Duration(float64(c.cfg.P99Limit)*resumeFrac):
 			c.latched = false
 		}
 	}

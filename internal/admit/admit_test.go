@@ -58,11 +58,11 @@ func TestZeroConfigAdmitsEverything(t *testing.T) {
 }
 
 // TestQueueCap: interactive sheds at MaxQueue, bulk already at
-// BulkQueueFrac of it, and the degrade band admits with clamped budgets.
+// bulkQueueFrac (0.8) of it, and the degrade band from degradeFrac (0.5)
+// of a lane's cap admits with clamped budgets.
 func TestQueueCap(t *testing.T) {
 	sig := newFakeSignals()
-	c := New(Config{MaxQueue: 100, BulkQueueFrac: 0.8, Degrade: true, DegradeFrac: 0.5,
-		DegradeSamples: 50, DegradeStarts: 1}, sig.signals())
+	c := New(Config{MaxQueue: 100, Degrade: true, DegradeSamples: 50, DegradeStarts: 1}, sig.signals())
 
 	cases := []struct {
 		name        string
@@ -112,15 +112,15 @@ func TestQueueCap(t *testing.T) {
 
 // TestLatencyHysteresis: the p99 latch engages above P99Limit (a p99 equal
 // to the limit does not engage it), stays latched while the p99 sits
-// between resume and limit, and releases only below P99Resume.
+// between the resume floor (resumeFrac of the limit) and the limit, and
+// releases only at or below the floor.
 func TestLatencyHysteresis(t *testing.T) {
 	sig := newFakeSignals()
 	now := time.Unix(0, 0)
 	cfg := Config{
-		P99Limit:  100 * time.Millisecond,
-		P99Resume: 20 * time.Millisecond,
-		Window:    time.Second,
-		Now:       func() time.Time { return now },
+		P99Limit: 80 * time.Millisecond, // resume floor 40ms
+		Window:   time.Second,
+		Now:      func() time.Time { return now },
 	}
 	c := New(cfg, sig.signals())
 
@@ -150,22 +150,32 @@ func TestLatencyHysteresis(t *testing.T) {
 		t.Fatalf("snapshot after latch: %+v", st)
 	}
 
-	// Middle ground (p99 ≈ 50ms, between resume and limit): still latched.
-	for i := 0; i < 100; i++ {
-		sig.wait.Observe(0.05)
-	}
-	now = now.Add(2 * time.Second)
-	if d := admit(); d.Admit {
-		t.Fatal("latch released in the hysteresis band")
+	// window observes slow waits of 40ms among fast ones of 1ms; with c
+	// slow ones of 100, the interpolated p99 is 25ms + 25ms·(c−1)/c.
+	window := func(slow int) {
+		for i := 0; i < 100; i++ {
+			if i < slow {
+				sig.wait.Observe(0.04)
+			} else {
+				sig.wait.Observe(0.001)
+			}
+		}
+		now = now.Add(2 * time.Second)
 	}
 
-	// Fully recovered (p99 ≈ 1ms): latch releases.
-	for i := 0; i < 100; i++ {
-		sig.wait.Observe(0.001)
+	// In the hysteresis band, between the 40ms floor and the 80ms limit:
+	// still latched, at p99 ≈ 49.75ms and just above the floor at 43.75ms.
+	for _, slow := range []int{100, 4} {
+		window(slow)
+		if d := admit(); d.Admit {
+			t.Fatalf("latch released in the hysteresis band (p99 %v)", c.Snapshot().P99)
+		}
 	}
-	now = now.Add(2 * time.Second)
+
+	// Just under the floor (p99 = 37.5ms): the latch releases.
+	window(2)
 	if d := admit(); !d.Admit {
-		t.Fatalf("latch did not release after recovery: %+v", d)
+		t.Fatalf("latch did not release under the floor (p99 %v): %+v", c.Snapshot().P99, d)
 	}
 
 	// An idle window (no observations at all) also releases: nothing
@@ -187,10 +197,9 @@ func TestLatencyHysteresis(t *testing.T) {
 	// Percentile reports that bound, so the window's p99 reads exactly 60s.
 	atLimit := newFakeSignals()
 	c = New(Config{
-		P99Limit:  60 * time.Second,
-		P99Resume: time.Second,
-		Window:    time.Second,
-		Now:       func() time.Time { return now },
+		P99Limit: 60 * time.Second,
+		Window:   time.Second,
+		Now:      func() time.Time { return now },
 	}, atLimit.signals())
 	if d := admit(); !d.Admit {
 		t.Fatalf("priming admit shed: %+v", d)

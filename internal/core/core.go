@@ -35,34 +35,12 @@ const (
 // of unknown names) happens at solve time.
 const DefaultObjective = "willingness"
 
-// Sampler selects the weighted-sampling backend used by CBAS-ND.
-type Sampler string
-
-const (
-	// SamplerAuto picks linear or Fenwick from the estimated frontier size.
-	SamplerAuto Sampler = "auto"
-	// SamplerLinear forces O(frontier) prefix-scan draws.
-	SamplerLinear Sampler = "linear"
-	// SamplerFenwick forces O(log n) Fenwick-tree draws.
-	SamplerFenwick Sampler = "fenwick"
-)
-
-// Validate reports whether s names a known backend.
-func (s Sampler) Validate() error {
-	switch s {
-	case SamplerAuto, SamplerLinear, SamplerFenwick:
-		return nil
-	}
-	return fmt.Errorf("core: unknown sampler %q (want %q, %q or %q)",
-		s, SamplerAuto, SamplerLinear, SamplerFenwick)
-}
-
 // RegionMode selects the solver's locality strategy: whether each start's
 // growths run on a compact (K−1)-hop search region extracted around it or
-// on the whole graph. Like Workers it is execution strategy only — a
-// region with radius K−1 contains every node and edge any growth can
-// touch, so Report.Best and SamplesDrawn are bit-identical across modes
-// and the field is not part of the request identity for caching.
+// on the whole graph. It is execution strategy only — a region with
+// radius K−1 contains every node and edge any growth can touch, so
+// Report.Best and SamplesDrawn are bit-identical across modes and the
+// field is not part of the request identity for caching.
 type RegionMode string
 
 const (
@@ -97,8 +75,6 @@ type Request struct {
 	Samples int     `json:"samples"` // random samples per start; ≥ 0 (0 = deterministic completion only)
 	Seed    uint64  `json:"seed"`    // root seed; all sub-streams derive from it
 	Alpha   float64 `json:"alpha"`   // CBAS-ND adapted-probability exponent: P(v) ∝ Δ(v|S)^α
-	Sampler Sampler `json:"sampler"` // CBAS-ND weighted-sampler backend
-	Prune   bool    `json:"prune"`   // apply the §3.1 upper-bound sample pruning
 
 	// Objective names the registered scoring objective the solve maximizes
 	// (internal/objective); empty means DefaultObjective. Validate only
@@ -111,25 +87,22 @@ type Request struct {
 	// Region selects whole-graph vs per-start (K−1)-hop search regions.
 	// Execution strategy only: never affects Best or SamplesDrawn.
 	Region RegionMode `json:"region"`
-
-	// Workers caps how many of this solve's tasks run at once on the
-	// executor every solve runs on; ≤ 0 means no cap beyond the
-	// executor's own size (GOMAXPROCS by default), which also bounds any
-	// larger value. Scheduling only — it never affects results, so it is
-	// not part of the request identity for caching.
-	Workers int `json:"workers,omitempty"`
 }
 
+// maxBudget bounds Starts × Samples. A solve lays out its whole task
+// table before its first deadline check, at about 80 bytes per 32
+// samples, so an unbounded budget would let one request exhaust memory;
+// 2^24 samples cost about 40 MB of tasks.
+const maxBudget = 1 << 24
+
 // DefaultRequest returns the canonical request for group-size bound k:
-// paper-default tuning, pruning on, automatic sampler backend.
+// paper-default tuning on the automatic region policy.
 func DefaultRequest(k int) Request {
 	return Request{
 		K:       k,
 		Starts:  DefaultStarts,
 		Samples: DefaultSamples,
 		Alpha:   DefaultAlpha,
-		Sampler: SamplerAuto,
-		Prune:   true,
 		Region:  RegionAuto,
 	}
 }
@@ -166,11 +139,12 @@ func (r Request) Validate() error {
 	if r.Samples < 0 {
 		return fmt.Errorf("core: Request.Samples must be ≥ 0, got %d", r.Samples)
 	}
+	if r.Samples > maxBudget/r.Starts { // a quotient, so no product can overflow
+		return fmt.Errorf("core: Request.Starts × Request.Samples must be ≤ %d, got %d × %d",
+			maxBudget, r.Starts, r.Samples)
+	}
 	if math.IsNaN(r.Alpha) || math.IsInf(r.Alpha, 0) || r.Alpha < 0 {
 		return fmt.Errorf("core: Request.Alpha must be finite and ≥ 0, got %v", r.Alpha)
-	}
-	if err := r.Sampler.Validate(); err != nil {
-		return fmt.Errorf("core: Request.Sampler: %w", err)
 	}
 	if err := r.Region.Validate(); err != nil {
 		return fmt.Errorf("core: Request.Region: %w", err)
@@ -182,12 +156,12 @@ func (r Request) Validate() error {
 // search counters and timing the paper's figures (and the serving metrics)
 // are built from.
 //
-// Best is deterministic: it depends only on (graph, Request minus
-// Workers), never on the worker count or goroutine schedule. The search
-// counters are advisory. Under the solvers' shared-incumbent pruning,
+// Best is deterministic: it depends only on (graph, Request), never on
+// the executor's size or the goroutine schedule. The search counters are
+// advisory. Under the solvers' shared-incumbent pruning,
 // which samples get abandoned depends on how fast the cross-start
 // incumbent rises on a given schedule, so Pruned may differ between runs
-// with different worker counts (and SamplesDrawn is partial after a
+// on executors of different sizes (and SamplesDrawn is partial after a
 // cancelled solve). Treat them as workload telemetry, not part of the
 // result identity — caching and response comparison should key on Best.
 type Report struct {

@@ -13,7 +13,7 @@ func TestDefaultRequestValid(t *testing.T) {
 		t.Errorf("DefaultRequest(5) invalid: %v", err)
 	}
 	if r.K != 5 || r.Starts != DefaultStarts || r.Samples != DefaultSamples ||
-		r.Alpha != DefaultAlpha || r.Sampler != SamplerAuto || !r.Prune {
+		r.Alpha != DefaultAlpha || r.Region != RegionAuto {
 		t.Errorf("DefaultRequest(5) = %+v", r)
 	}
 }
@@ -28,13 +28,16 @@ func TestRequestValidate(t *testing.T) {
 		{"default", func(*Request) {}, true},
 		{"zero samples is a real value", func(r *Request) { r.Samples = 0 }, true},
 		{"zero alpha", func(r *Request) { r.Alpha = 0 }, true},
-		{"negative workers means no cap", func(r *Request) { r.Workers = -1 }, true},
 		{"k=0", func(r *Request) { r.K = 0 }, false},
 		{"starts=0", func(r *Request) { r.Starts = 0 }, false},
 		{"negative samples", func(r *Request) { r.Samples = -1 }, false},
 		{"negative alpha", func(r *Request) { r.Alpha = -2 }, false},
-		{"unknown sampler", func(r *Request) { r.Sampler = "quantum" }, false},
-		{"empty sampler", func(r *Request) { r.Sampler = "" }, false},
+		{"budget at the bound", func(r *Request) { r.Starts = 8; r.Samples = maxBudget / 8 }, true},
+		{"budget past the bound", func(r *Request) { r.Starts = 8; r.Samples = maxBudget/8 + 1 }, false},
+		{"one start at the bound", func(r *Request) { r.Starts = 1; r.Samples = maxBudget }, true},
+		{"odd starts past the bound", func(r *Request) { r.Starts = 3; r.Samples = maxBudget/3 + 1 }, false},
+		{"product overflows int", func(r *Request) { r.Starts = 1 << 62; r.Samples = 4 }, false},
+		{"2^40 samples", func(r *Request) { r.Samples = 1 << 40 }, false},
 		{"region off", func(r *Request) { r.Region = RegionOff }, true},
 		{"region always", func(r *Request) { r.Region = RegionAlways }, true},
 		{"unknown region mode", func(r *Request) { r.Region = "sometimes" }, false},
@@ -54,7 +57,7 @@ func TestRequestValidate(t *testing.T) {
 // property that removes the old "Samples ≤ 0 means default" ambiguity.
 func TestRequestJSONOverDefaults(t *testing.T) {
 	r := DefaultRequest(0)
-	if err := json.Unmarshal([]byte(`{"k":7,"samples":0,"prune":false}`), &r); err != nil {
+	if err := json.Unmarshal([]byte(`{"k":7,"samples":0,"region":"off"}`), &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.K != 7 {
@@ -63,10 +66,10 @@ func TestRequestJSONOverDefaults(t *testing.T) {
 	if r.Samples != 0 {
 		t.Errorf("Samples = %d, want explicit 0", r.Samples)
 	}
-	if r.Prune {
-		t.Error("explicit prune:false ignored")
+	if r.Region != RegionOff {
+		t.Errorf("explicit region:off ignored: %q", r.Region)
 	}
-	if r.Starts != DefaultStarts || r.Alpha != DefaultAlpha || r.Sampler != SamplerAuto {
+	if r.Starts != DefaultStarts || r.Alpha != DefaultAlpha || r.Objective != "" {
 		t.Errorf("absent fields lost their defaults: %+v", r)
 	}
 	if err := r.Validate(); err != nil {

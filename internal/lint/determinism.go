@@ -6,8 +6,8 @@ import (
 )
 
 // Determinism guards the system's headline invariant: Report.Best is a pure
-// function of (graph, Request minus Workers) — bit-identical across worker
-// counts, region modes, executor paths and, eventually, replicas. The
+// function of (graph, Request) — bit-identical across executor sizes,
+// region modes, executor paths and, eventually, replicas. The
 // invariance test suites catch violations after the fact; this analyzer
 // rejects the four ways they get written in the first place, at the AST
 // level, inside the result-path packages (internal/solver, internal/sampling,

@@ -80,8 +80,7 @@ func TestDegradedSolveAnnotated(t *testing.T) {
 	s := testService(t, Config{})
 	depth := 0
 	syntheticPressure(s, admit.Config{
-		MaxQueue: 100, Degrade: true, DegradeFrac: 0.5,
-		DegradeSamples: 8, DegradeStarts: 1,
+		MaxQueue: 100, Degrade: true, DegradeSamples: 8, DegradeStarts: 1,
 	}, &depth)
 
 	req := core.DefaultRequest(8)
@@ -94,7 +93,7 @@ func TestDegradedSolveAnnotated(t *testing.T) {
 		t.Fatalf("full budget drew only %d samples — clamp test would be vacuous", full.SamplesDrawn)
 	}
 
-	depth = 60 // inside [50, 100): degrade, don't shed
+	depth = 60 // inside the degrade band [50, 100): degrade, don't shed
 	deg, err := s.Solve(context.Background(), "g", "cbasnd", req)
 	if err != nil {
 		t.Fatalf("degraded solve: %v", err)
@@ -140,16 +139,16 @@ func TestDegradedSolveAnnotated(t *testing.T) {
 	}
 }
 
-// TestBatchShedsAsBulk: the bulk lane's lower queue cap sheds batches
-// while interactive solves are still admitted.
+// TestBatchShedsAsBulk: the bulk lane's lower queue cap (80% of MaxQueue)
+// sheds batches while interactive solves are still admitted.
 func TestBatchShedsAsBulk(t *testing.T) {
 	s := testService(t, Config{})
 	depth := 0
 	bulkDepth := 0
-	s.adm = admit.New(admit.Config{MaxQueue: 100, BulkQueueFrac: 0.5},
+	s.adm = admit.New(admit.Config{MaxQueue: 100},
 		admit.Signals{QueueDepth: func() (int, int) { return depth, bulkDepth }})
 
-	depth, bulkDepth = 60, 50 // bulk cap (50) hit; interactive cap (100) not
+	depth, bulkDepth = 90, 80 // bulk cap (80) hit; interactive cap (100) not
 	req := core.DefaultRequest(6)
 	req.Samples = 20
 	if _, err := s.SolveBatch(context.Background(), "g",

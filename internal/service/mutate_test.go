@@ -73,7 +73,8 @@ func mutationBatches(n int) [][]graph.Mutation {
 
 // reportsEqual demands bit-identical answers: same nodes, same willingness
 // bits, same sampling trajectory. Pruned is schedule-dependent (see
-// core.Report), so callers solve with Workers = 1 to make it comparable.
+// core.Report), so callers solve on one-worker executors
+// (newSequentialService) to make it comparable.
 func reportsEqual(a, b core.Report) bool {
 	if a.Best.Willingness != b.Best.Willingness ||
 		len(a.Best.Nodes) != len(b.Best.Nodes) ||
@@ -120,7 +121,7 @@ func checkMutationCounters(t *testing.T, s *Service, before map[string]float64, 
 func TestMutateInvariance(t *testing.T) {
 	const n = 120
 	ctx := context.Background()
-	s := newTestService(t, Config{})
+	s := newSequentialService(t, Config{})
 	if _, err := s.Load("g", pathGraph(t, n), "test"); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestMutateInvariance(t *testing.T) {
 	}
 
 	// A second service loads the same final graph as a fresh upload.
-	s2 := newTestService(t, Config{})
+	s2 := newSequentialService(t, Config{})
 	if _, err := s2.Load("g", mutated, "test"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,6 @@ func TestMutateInvariance(t *testing.T) {
 			req.Samples = 20
 			req.Starts = 3
 			req.Seed = seed
-			req.Workers = 1
 			got, err := s.Solve(ctx, "g", algo, req)
 			if err != nil {
 				t.Fatalf("%s/%d mutated solve: %v", algo, seed, err)
@@ -342,7 +342,7 @@ func TestServiceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestService(t, Config{Store: st})
+	s := newSequentialService(t, Config{Store: st})
 	if _, err := s.Load("g", pathGraph(t, n), "test"); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,6 @@ func TestServiceRecovery(t *testing.T) {
 	req := core.DefaultRequest(6)
 	req.Samples = 16
 	req.Seed = 11
-	req.Workers = 1
 	want, err := s.Solve(ctx, "g", "cbasnd", req)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +373,7 @@ func TestServiceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st2.Close() })
-	s2 := newTestService(t, Config{Store: st2})
+	s2 := newSequentialService(t, Config{Store: st2})
 	recs, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)

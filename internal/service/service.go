@@ -178,12 +178,16 @@ type Service struct {
 	retired cacheTotals // counters of evicted graphs, so totals stay monotone
 }
 
-// New returns an empty Service. Close releases its shared executor.
-func New(cfg Config) *Service {
+// New returns an empty Service on a GOMAXPROCS-sized executor. Close
+// releases the executor.
+func New(cfg Config) *Service { return newService(cfg, solver.NewExecutor(0)) }
+
+// newService returns an empty Service that schedules its solves on exec.
+func newService(cfg Config, exec *solver.Executor) *Service {
 	s := &Service{
 		cfg:    cfg,
 		start:  time.Now(),
-		exec:   solver.NewExecutor(0),
+		exec:   exec,
 		reg:    metrics.NewRegistry(),
 		graphs: make(map[string]*entry),
 		st:     cfg.Store,

@@ -27,6 +27,16 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return s
 }
 
+// newSequentialService is newTestService on a one-worker executor: each
+// solve runs its tasks one at a time, so even the advisory Pruned counter
+// is reproducible from one service to another.
+func newSequentialService(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	s := newService(cfg, solver.NewExecutor(1))
+	t.Cleanup(s.Close)
+	return s
+}
+
 func TestStoreLifecycle(t *testing.T) {
 	s := newTestService(t, Config{})
 	info, err := s.Generate("g1", testSpec(200))
@@ -215,7 +225,8 @@ func TestSolveAfterClose(t *testing.T) {
 }
 
 // TestPooledWorkspacesAcrossRequests: interleaving requests with different
-// tuning (k, sampler backend, alpha) against one graph must not let a
+// tuning (k, alpha, and through k the sampler backend: k=40 puts
+// K·avgdeg past solver.FenwickCrossover) against one graph must not let a
 // recycled workspace leak state between them — every request reproduces
 // its direct-solver result.
 func TestPooledWorkspacesAcrossRequests(t *testing.T) {
@@ -228,18 +239,15 @@ func TestPooledWorkspacesAcrossRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]core.Request, 0, 6)
-	for _, k := range []int{4, 12} {
+	reqs := make([]core.Request, 0, 9)
+	for _, k := range []int{4, 12, 40} {
 		r := core.DefaultRequest(k)
 		r.Samples = 20
 		r.Seed = uint64(k)
-		reqs = append(reqs, r)
-		r.Sampler = core.SamplerFenwick
-		r.Alpha = 1
-		reqs = append(reqs, r)
-		r.Sampler = core.SamplerLinear
-		r.Alpha = 3
-		reqs = append(reqs, r)
+		for _, alpha := range []float64{2, 1, 3} {
+			r.Alpha = alpha
+			reqs = append(reqs, r)
+		}
 	}
 	for round := 0; round < 3; round++ {
 		for i, r := range reqs {
@@ -336,7 +344,6 @@ func TestSolveDefaultTimeout(t *testing.T) {
 	}
 	req := core.DefaultRequest(20)
 	req.Samples = 1 << 20
-	req.Prune = false
 	if _, err := s.Solve(context.Background(), "g", "cbasnd", req); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -451,7 +458,6 @@ func TestSolveBatchTimeout(t *testing.T) {
 	}
 	big := core.DefaultRequest(20)
 	big.Samples = 1 << 20
-	big.Prune = false
 	out, err := s.SolveBatch(context.Background(), "g", []core.BatchItem{
 		{Algo: "cbasnd", Request: big},
 		{Algo: "cbasnd", Request: big},

@@ -30,7 +30,7 @@ func (DGreedy) Name() string { return "dgreedy" }
 // Solve implements Solver.
 func (DGreedy) Solve(ctx context.Context, g *graph.Graph, req core.Request) (core.Report, error) {
 	return multiStart(ctx, "dgreedy", g, req, 0, true,
-		func(_ context.Context, ws *workspace, _ task, start graph.NodeID, _ *rng.Stream, _ core.Request) outcome {
+		func(_ context.Context, ws *workspace, _ task, start graph.NodeID, _ *rng.Stream) outcome {
 			ws.growGreedy(start)
 			return outcome{sol: ws.snapshot()}
 		})
@@ -47,7 +47,7 @@ func (RGreedy) Name() string { return "rgreedy" }
 // Solve implements Solver.
 func (RGreedy) Solve(ctx context.Context, g *graph.Graph, req core.Request) (core.Report, error) {
 	return multiStart(ctx, "rgreedy", g, req, req.Samples, false,
-		func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream, _ core.Request) outcome {
+		func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream) outcome {
 			oc := outcome{sol: core.Solution{Willingness: math.Inf(-1)}}
 			for s := t.lo; s < t.hi; s++ {
 				if ctx.Err() != nil {
@@ -55,7 +55,7 @@ func (RGreedy) Solve(ctx context.Context, g *graph.Graph, req core.Request) (cor
 				}
 				stream := root.SplitN(uint64(t.startIdx), uint64(s))
 				oc.samples++
-				ws.growWeighted(start, stream, weightGroup, 0, false)
+				ws.growWeighted(start, stream, weightGroup, 0)
 				if ws.will > oc.sol.Willingness {
 					oc.sol = ws.snapshot()
 				}
@@ -102,7 +102,7 @@ func (CBASND) Solve(ctx context.Context, g *graph.Graph, req core.Request) (core
 // worker's pruning bound tightens with the globally best growth seen so
 // far, not just this task's.
 func cbasChunk(nonuniform bool) chunkRunner {
-	return func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream, r core.Request) outcome {
+	return func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream) outcome {
 		oc := outcome{sol: core.Solution{Willingness: math.Inf(-1)}}
 		if t.greedy {
 			ws.growGreedy(start)
@@ -117,9 +117,9 @@ func cbasChunk(nonuniform bool) chunkRunner {
 			oc.samples++
 			var abandoned bool
 			if nonuniform {
-				abandoned = ws.growWeighted(start, stream, weightDeltaPow, oc.sol.Willingness, r.Prune)
+				abandoned = ws.growWeighted(start, stream, weightDeltaPow, oc.sol.Willingness)
 			} else {
-				abandoned = ws.growUniform(start, stream, oc.sol.Willingness, r.Prune)
+				abandoned = ws.growUniform(start, stream, oc.sol.Willingness)
 			}
 			if abandoned {
 				oc.pruned++

@@ -17,7 +17,7 @@ import (
 // keeps a guaranteed share, so a flood of interactive traffic cannot
 // silently stall a batch forever either.
 //
-// Lanes are scheduling only. Like Workers, they never affect Report.Best.
+// Lanes are scheduling only: they never affect Report.Best.
 type Lane int
 
 const (
@@ -73,8 +73,8 @@ func LaneFor(ctx context.Context) Lane {
 // interactive lane gets interactiveBurst picks for every bulk pick when
 // both lanes are backlogged — so a burst of small interactive queries
 // keeps making progress beside a saturated batch backlog, and bulk work
-// retains a guaranteed share under interactive floods. A positive
-// Request.Workers additionally caps one solve's parallelism on the pool.
+// retains a guaranteed share under interactive floods. A solve's
+// parallelism is bounded only by the pool's size.
 //
 // Jobs carry their solve's deadline: a job whose deadline has already
 // passed when a worker would dequeue its next task is dropped — its
@@ -126,21 +126,20 @@ type laneCounters struct {
 }
 
 // execJob is one solve's task queue as the executor sees it: n indexed
-// tasks handed out in order, at most maxParallel running at once. The
-// solve's context lives in the task fn's closure (the drain contract), so
-// the job itself holds no reference to it — only its lane and deadline.
+// tasks handed out in order. The solve's context lives in the task fn's
+// closure (the drain contract), so the job itself holds no reference to
+// it — only its lane and deadline.
 type execJob struct {
-	fn          func(idx int)
-	lane        Lane
-	n           int
-	next        int // next task index to hand out
-	running     int // tasks currently executing
-	maxParallel int
-	done        chan struct{}
-	deadline    time.Time // zero = none; checked at dequeue, not submit
-	expired     int       // tasks dropped because the deadline passed
-	submitted   time.Time // when run enqueued the job (queue-wait telemetry)
-	started     bool      // first task handed out (queue wait recorded once)
+	fn        func(idx int)
+	lane      Lane
+	n         int
+	next      int // next task index to hand out
+	running   int // tasks currently executing
+	done      chan struct{}
+	deadline  time.Time // zero = none; checked at dequeue, not submit
+	expired   int       // tasks dropped because the deadline passed
+	submitted time.Time // when run enqueued the job (queue-wait telemetry)
+	started   bool      // first task handed out (queue wait recorded once)
 }
 
 // NewExecutor starts an executor with the given worker count (≤ 0 means
@@ -237,32 +236,28 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// run executes n indexed tasks on the pool, at most maxParallel at a time
-// (≤ 0 means no cap), and returns once every task has completed or been
-// dropped. fn must observe its solve's context itself: tasks of a
-// cancelled solve are still invoked, as fast no-ops. deadline (zero =
-// none) lets the scheduler drop the job's remaining tasks at dequeue once
-// the solve's budget is already exhausted; expired reports that at least
-// one task was dropped for it. A closed executor hands the job to the
-// package default.
-func (e *Executor) run(lane Lane, deadline time.Time, maxParallel, n int, fn func(idx int)) (expired bool) {
+// run executes n indexed tasks on the pool and returns once every task
+// has completed or been dropped. fn must observe its solve's context
+// itself: tasks of a cancelled solve are still invoked, as fast no-ops.
+// deadline (zero = none) lets the scheduler drop the job's remaining
+// tasks at dequeue once the solve's budget is already exhausted; expired
+// reports that at least one task was dropped for it. A closed executor
+// hands the job to the package default.
+func (e *Executor) run(lane Lane, deadline time.Time, n int, fn func(idx int)) (expired bool) {
 	if n == 0 {
 		return false
-	}
-	if maxParallel <= 0 {
-		maxParallel = n
 	}
 	if lane < 0 || lane >= NumLanes {
 		lane = LaneBulk
 	}
 	//lint:allow determinism(queue-wait telemetry timestamp; never reaches task scheduling or results)
 	submitted := time.Now()
-	j := &execJob{fn: fn, lane: lane, n: n, maxParallel: maxParallel,
+	j := &execJob{fn: fn, lane: lane, n: n,
 		done: make(chan struct{}), deadline: deadline, submitted: submitted}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return defaultExecutor().run(lane, deadline, maxParallel, n, fn)
+		return defaultExecutor().run(lane, deadline, n, fn)
 	}
 	e.jobs[lane] = append(e.jobs[lane], j)
 	e.lanes[lane].jobsTotal++
@@ -301,7 +296,7 @@ func (e *Executor) runnableLocked(lane Lane, now time.Time) *execJob {
 				continue
 			}
 		}
-		if j.next < j.n && j.running < j.maxParallel {
+		if j.next < j.n {
 			e.cursor[lane] = at // takeLocked advances past this job
 			return j
 		}
@@ -368,18 +363,14 @@ func (e *Executor) retireLocked(j *execJob) {
 }
 
 // finishLocked records one completed task and retires the job when its last
-// task is done. Callers hold e.mu.
+// task is done. Callers hold e.mu. No wake-up is needed: a worker sleeps
+// only while no task is runnable, and a finished task never makes one
+// runnable.
 func (e *Executor) finishLocked(j *execJob) {
 	j.running--
 	e.lanes[j.lane].inFlight--
 	if j.next >= j.n && j.running == 0 {
 		e.retireLocked(j)
-		return
-	}
-	if j.next < j.n {
-		// A parallelism-capped job just freed a slot; one idle worker can
-		// take the next task.
-		e.cond.Signal()
 	}
 }
 

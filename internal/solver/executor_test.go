@@ -14,8 +14,7 @@ import (
 
 // TestExecutorBounds: no matter how many jobs are submitted concurrently,
 // the number of simultaneously running tasks never exceeds the pool size,
-// a job's own maxParallel caps its share of the pool, and a maxParallel
-// ≤ 0 leaves it uncapped.
+// and a single job runs on the whole pool.
 func TestExecutorBounds(t *testing.T) {
 	ex := NewExecutor(2)
 	defer ex.Close()
@@ -33,7 +32,7 @@ func TestExecutorBounds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ex.run(LaneInteractive, time.Time{}, 2, 6, task)
+			ex.run(LaneInteractive, time.Time{}, 6, task)
 		}()
 	}
 	wg.Wait()
@@ -41,44 +40,31 @@ func TestExecutorBounds(t *testing.T) {
 		t.Errorf("peak concurrent tasks = %d, want ≤ 2", p)
 	}
 
-	// A job capped below the pool size never runs more than its cap at once.
-	var capRunning, capPeak atomic.Int64
-	ex.run(LaneInteractive, time.Time{}, 1, 8, func(int) {
-		if r := capRunning.Add(1); r > capPeak.Load() {
-			capPeak.Store(r)
-		}
-		time.Sleep(time.Millisecond)
-		capRunning.Add(-1)
-	})
-	if p := capPeak.Load(); p != 1 {
-		t.Errorf("maxParallel=1 job peaked at %d concurrent tasks", p)
-	}
-
 	st := ex.Stats()
-	if st.Jobs != 9 || st.Tasks != 8*6+8 {
-		t.Errorf("Stats() = (%d, %d), want (9, 56)", st.Jobs, st.Tasks)
+	if st.Jobs != 8 || st.Tasks != 8*6 {
+		t.Errorf("Stats() = (%d, %d), want (8, 48)", st.Jobs, st.Tasks)
 	}
 	// All work is drained: the snapshot must report an idle executor, and
 	// every job's queue wait was recorded exactly once.
 	if st.JobsActive != 0 || st.TasksQueued != 0 || st.TasksInFlight != 0 {
 		t.Errorf("drained executor reports backlog: %+v", st)
 	}
-	if qw := ex.QueueWait().Snapshot(); qw.Count != 9 {
-		t.Errorf("queue-wait observations = %d, want 9 (one per job)", qw.Count)
+	if qw := ex.QueueWait().Snapshot(); qw.Count != 8 {
+		t.Errorf("queue-wait observations = %d, want 8 (one per job)", qw.Count)
 	}
 
-	// maxParallel ≤ 0 means no cap: each task waits for the other to
+	// One job alone fills the pool: each task waits for the other to
 	// start, which only a job running both at once can satisfy.
 	var arrived sync.WaitGroup
 	arrived.Add(2)
 	both := make(chan struct{})
 	go func() { arrived.Wait(); close(both) }()
-	ex.run(LaneInteractive, time.Time{}, 0, 2, func(int) {
+	ex.run(LaneInteractive, time.Time{}, 2, func(int) {
 		arrived.Done()
 		select {
 		case <-both:
 		case <-time.After(10 * time.Second):
-			t.Error("maxParallel=0 job never ran its two tasks at once")
+			t.Error("a lone job never ran its two tasks at once")
 		}
 	})
 }
@@ -95,7 +81,7 @@ func TestExecutorEveryTaskOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			counts := make([]atomic.Int32, n)
-			ex.run(LaneInteractive, time.Time{}, 4, n, func(idx int) { counts[idx].Add(1) })
+			ex.run(LaneInteractive, time.Time{}, n, func(idx int) { counts[idx].Add(1) })
 			for i := range counts {
 				if c := counts[i].Load(); c != 1 {
 					t.Errorf("task %d ran %d times", i, c)
@@ -163,7 +149,6 @@ func TestExecutorCancellation(t *testing.T) {
 
 	deadline, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	req.Prune = false
 	if _, err := (CBASND{}).Solve(WithExecutor(deadline, ex), g, req); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("deadline solve: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -187,7 +172,7 @@ func TestExecutorClose(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ex.run(LaneInteractive, time.Time{}, 1, 4, func(int) { ran.Add(1) })
+			ex.run(LaneInteractive, time.Time{}, 4, func(int) { ran.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -199,7 +184,7 @@ func TestExecutorClose(t *testing.T) {
 	closed := ex.Stats()
 	defaultBefore := defaultExecutor().Stats().Tasks
 	counts := make([]atomic.Int32, 5)
-	ex.run(LaneInteractive, time.Time{}, 1, len(counts), func(idx int) { counts[idx].Add(1) })
+	ex.run(LaneInteractive, time.Time{}, len(counts), func(idx int) { counts[idx].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Errorf("task %d ran %d times after close, want 1", i, c)
@@ -245,7 +230,7 @@ func TestExecutorLaneIsolation(t *testing.T) {
 	bulkFinished := make(chan struct{})
 	go func() {
 		<-release
-		ex.run(LaneBulk, time.Time{}, 2, bulkTasks, func(int) {
+		ex.run(LaneBulk, time.Time{}, bulkTasks, func(int) {
 			time.Sleep(200 * time.Microsecond)
 			bulkDone.Add(1)
 		})
@@ -258,7 +243,7 @@ func TestExecutorLaneIsolation(t *testing.T) {
 	}
 
 	var interDone atomic.Int32
-	ex.run(LaneInteractive, time.Time{}, 2, 8, func(int) { interDone.Add(1) })
+	ex.run(LaneInteractive, time.Time{}, 8, func(int) { interDone.Add(1) })
 	if got := interDone.Load(); got != 8 {
 		t.Errorf("interactive job ran %d/8 tasks", got)
 	}
@@ -289,7 +274,7 @@ func TestExecutorBulkNotStarved(t *testing.T) {
 	var bulkDone atomic.Int32
 	bulkFinished := make(chan struct{})
 	go func() {
-		ex.run(LaneBulk, time.Time{}, 1, 50, func(int) { bulkDone.Add(1) })
+		ex.run(LaneBulk, time.Time{}, 50, func(int) { bulkDone.Add(1) })
 		close(bulkFinished)
 	}()
 	// Keep the interactive lane continuously backlogged until bulk finishes.
@@ -304,7 +289,7 @@ func TestExecutorBulkNotStarved(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					ex.run(LaneInteractive, time.Time{}, 1, 4, func(int) {
+					ex.run(LaneInteractive, time.Time{}, 4, func(int) {
 						time.Sleep(50 * time.Microsecond)
 					})
 				}
@@ -332,7 +317,7 @@ func TestExecutorDeadlineDrop(t *testing.T) {
 	gate := make(chan struct{})
 	blockerDone := make(chan struct{})
 	go func() {
-		ex.run(LaneInteractive, time.Time{}, 1, 1, func(int) { <-gate })
+		ex.run(LaneInteractive, time.Time{}, 1, func(int) { <-gate })
 		close(blockerDone)
 	}()
 	for ex.Stats().TasksInFlight == 0 {
@@ -342,7 +327,7 @@ func TestExecutorDeadlineDrop(t *testing.T) {
 	var ran atomic.Int32
 	resCh := make(chan bool, 1)
 	go func() {
-		resCh <- ex.run(LaneInteractive, time.Now().Add(5*time.Millisecond), 1, 7,
+		resCh <- ex.run(LaneInteractive, time.Now().Add(5*time.Millisecond), 7,
 			func(int) { ran.Add(1) })
 	}()
 	// Let the deadline lapse while the job is still queued, then free the
@@ -366,7 +351,7 @@ func TestExecutorDeadlineDrop(t *testing.T) {
 
 	// A job whose deadline is in the future runs normally.
 	var okRan atomic.Int32
-	if expired := ex.run(LaneInteractive, time.Now().Add(time.Minute), 1, 3,
+	if expired := ex.run(LaneInteractive, time.Now().Add(time.Minute), 3,
 		func(int) { okRan.Add(1) }); expired {
 		t.Error("future-deadline job: run returned expired=true")
 	}
@@ -387,7 +372,7 @@ func TestExecutorDeadlineDropMidJob(t *testing.T) {
 	gate := make(chan struct{})
 	resCh := make(chan bool, 1)
 	go func() {
-		resCh <- ex.run(LaneInteractive, time.Now().Add(25*time.Millisecond), 1, 5, func(idx int) {
+		resCh <- ex.run(LaneInteractive, time.Now().Add(25*time.Millisecond), 5, func(idx int) {
 			ran.Add(1)
 			if idx == 0 {
 				close(started)
@@ -427,7 +412,7 @@ func TestExecutorCloseRace(t *testing.T) {
 			go func(lane Lane) {
 				defer wg.Done()
 				counts := make([]atomic.Int32, 3)
-				ex.run(lane, time.Time{}, 2, len(counts), func(idx int) { counts[idx].Add(1) })
+				ex.run(lane, time.Time{}, len(counts), func(idx int) { counts[idx].Add(1) })
 				for i := range counts {
 					if c := counts[i].Load(); c != 1 {
 						t.Errorf("task %d ran %d times", i, c)
@@ -446,7 +431,7 @@ func TestExecutorCloseRace(t *testing.T) {
 		if closed.Tasks > 8*3 || closed.TasksQueued != 0 || closed.TasksInFlight != 0 || closed.JobsActive != 0 {
 			t.Errorf("closed executor snapshot %+v, want ≤ 24 tasks and no backlog", closed)
 		}
-		ex.run(LaneInteractive, time.Time{}, 2, 3, func(int) {})
+		ex.run(LaneInteractive, time.Time{}, 3, func(int) {})
 		if st := ex.Stats(); st != closed {
 			t.Errorf("closed executor's Stats moved: %+v -> %+v", closed, st)
 		}

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+
 	"waso/internal/graph"
 	"waso/internal/objective"
 )
@@ -25,4 +27,16 @@ func testPrep(g *graph.Graph) *Prep { return NewPrep(testBind(g)) }
 
 func testCache(g *graph.Graph, maxEntries int) *RegionCache {
 	return NewRegionCache(testBind(g), maxEntries)
+}
+
+// unprunedPrep is NewPrep(b) with a +Inf bound table, so hopeless never
+// fires: a solve carrying it (WithPrep) starts from the same ranking but
+// prunes nothing — the unpruned reference the invariance tests compare
+// the pruned solve against.
+func unprunedPrep(b *objective.Binding) *Prep {
+	p := NewPrep(b)
+	for i := range p.prefix {
+		p.prefix[i] = math.Inf(1)
+	}
+	return p
 }

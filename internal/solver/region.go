@@ -92,12 +92,17 @@ func startWorthwhile(g *graph.Graph, start graph.NodeID, radius, cap int) bool {
 // (the serving path) answers repeat (start, radius) keys without
 // re-extracting; otherwise a single RegionBuilder amortizes its scratch
 // across the starts of this call.
+//
+// The radius is K−1 clamped to n−1: no node lies deeper than n−1 hops, so
+// a deeper ball is the same whole component, and the clamp keeps the
+// size estimates, which run before any deadline check, from looping K
+// times on a graph too sparse for their estimate to grow.
 func planRegions(ctx context.Context, b *objective.Binding, starts []graph.NodeID, req core.Request) ([]*graph.Region, int) {
 	g := b.Graph()
 	if req.Region == core.RegionOff || len(starts) == 0 {
 		return nil, g.N()
 	}
-	radius := req.K - 1
+	radius := min(req.K, g.N()) - 1
 	always := req.Region == core.RegionAlways
 	cap := autoRegionCap(g.N())
 	if !always && !regionWorthwhile(g, radius, cap) {

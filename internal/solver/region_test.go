@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"testing"
+	"time"
 
 	"waso/internal/core"
 	"waso/internal/gen"
@@ -24,20 +25,23 @@ func erInstance(t testing.TB, n int, avgDeg float64, seed uint64) *graph.Graph {
 	return g
 }
 
-// TestRegionEquivalence is the property the tentpole stands on, checked per
+// TestRegionEquivalence is the property region mode stands on, checked per
 // registered objective: for every solver, Report.Best (node set AND
 // willingness bits) and SamplesDrawn are identical between region mode and
-// whole-graph mode, across 20 seeds and workers ∈ {1, 4} on an attached
-// 4-worker executor. Graph shapes
-// alternate between sparse ER (balls ≪ component: real remapping,
-// fragmented components, isolated starts) and power-law (balls =
-// component), and k alternates so radii vary. Region extraction copies an
-// objective's fused slabs into the compact instance, so a per-objective
-// run is the only thing that catches a slab/remap mismatch.
+// whole-graph mode, across 20 seeds on attached executors of 1 and 4
+// workers. Graph shapes alternate between sparse ER (balls ≪ component:
+// real remapping, fragmented components, isolated starts) and power-law
+// (balls = component), and k alternates so radii vary. Region extraction
+// copies an objective's fused slabs into the compact instance, so a
+// per-objective run is the only thing that catches a slab/remap mismatch.
 func TestRegionEquivalence(t *testing.T) {
-	ex := NewExecutor(4)
-	defer ex.Close()
-	ctx := WithExecutor(context.Background(), ex)
+	sizes := []int{1, 4}
+	ctxs := make([]context.Context, len(sizes))
+	for i, w := range sizes {
+		ex := NewExecutor(w)
+		defer ex.Close()
+		ctxs[i] = WithExecutor(context.Background(), ex)
+	}
 
 	const seeds = 20
 	for _, objName := range objective.Names() {
@@ -58,17 +62,14 @@ func TestRegionEquivalence(t *testing.T) {
 						r.Region = core.RegionOff
 						r.Objective = objName
 					})
-					for _, workers := range []int{1, 4} {
-						off := base
-						off.Workers = workers
-						want, err := s.Solve(ctx, g, off)
+					for i, workers := range sizes {
+						want, err := s.Solve(ctxs[i], g, base)
 						if err != nil {
 							t.Fatalf("%s seed=%d workers=%d region=off: %v", s.Name(), seed, workers, err)
 						}
 						on := base
-						on.Workers = workers
 						on.Region = core.RegionAlways
-						got, err := s.Solve(ctx, g, on)
+						got, err := s.Solve(ctxs[i], g, on)
 						if err != nil {
 							t.Fatalf("%s seed=%d workers=%d region=always: %v", s.Name(), seed, workers, err)
 						}
@@ -121,6 +122,42 @@ func TestRegionAutoParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRegionHugeK: on a graph whose average degree is below 1, the ball
+// size estimate never grows, so sizing a (K−1)-hop ball hop by hop costs
+// K−1 steps, all before the solve's first deadline check. With the radius
+// clamped to n−1, a region-auto solve with k = 2^62 returns at once, with
+// the whole-graph answer (a deeper ball is the whole component).
+func TestRegionHugeK(t *testing.T) {
+	g := erInstance(t, 1000, 0.5, 41)
+	if d := g.AvgDegree(); d >= 1 {
+		t.Fatalf("fixture average degree %.3f, want < 1", d)
+	}
+	r := req(1<<62, func(r *core.Request) { r.Samples = 20; r.Seed = 3 })
+	off := r
+	off.Region = core.RegionOff
+	want, err := (CBASND{}).Solve(context.Background(), g, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got core.Report
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got, err = (CBASND{}).Solve(context.Background(), g, r)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("region-auto solve with k = 2^62 still running after 10s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Best.Equal(want.Best) || got.Best.Willingness != want.Best.Willingness {
+		t.Errorf("region-auto best %v != whole-graph best %v", got.Best, want.Best)
 	}
 }
 

@@ -32,8 +32,8 @@
 // dominates the work. Every random draw derives from rng.Split sub-streams
 // labelled (start index, sample index) — fixed at task-construction time —
 // and per-task outcomes are reduced in task order, so Report.Best depends
-// only on (graph, Request minus Workers), never on the worker count or
-// goroutine scheduling.
+// only on (graph, Request), never on the executor's size or goroutine
+// scheduling.
 //
 // Pruning is cross-start: all workers share one lock-free global incumbent
 // (float bits in an atomic.Uint64, raised by monotone CAS-max) holding the
@@ -41,9 +41,9 @@
 // a growth once its §3.1 upper bound cannot beat it. Because the incumbent
 // only ever holds the willingness of real candidate solutions, any growth
 // abandoned against it could never have been the final best — Report.Best
-// is unchanged by pruning and by worker count. Which samples get abandoned,
-// however, depends on how fast the incumbent rises on a given schedule, so
-// Report.Pruned is an advisory counter (see core.Report).
+// is unchanged by pruning and by the executor's size. Which samples get
+// abandoned, however, depends on how fast the incumbent rises on a given
+// schedule, so Report.Pruned is an advisory counter (see core.Report).
 //
 // There is one execution path. Every Solve runs its tasks on an Executor:
 // the one its context carries (WithExecutor), else a package default of
@@ -89,10 +89,12 @@ import (
 // serving layers map it to their invalid-argument status.
 var ErrNoGroup = errors.New("no group produced")
 
-// FenwickCrossover is the estimated frontier size above which
-// core.SamplerAuto switches CBASND from linear scans to a Fenwick tree. The
-// default comes from BenchmarkSamplerCrossover (README, "Sampler
-// crossover").
+// FenwickCrossover is the estimated frontier size, K·avgdeg, above which
+// CBASND draws from a Fenwick tree instead of scanning linearly; the value
+// comes from BenchmarkSamplerCrossover (README, "Sampler crossover"). The
+// two backends draw by the same rule but sum weights in different orders,
+// so a draw can differ where rounding moves a boundary: the choice depends
+// on the graph and K only, never on a request knob.
 const FenwickCrossover = 256
 
 // Solver finds a connected group F, |F| ≤ req.K, maximizing W(F) per Eq. 1.
@@ -498,8 +500,8 @@ func (in *incumbent) raise(w float64) {
 // (start, chunk) task covers up to this many samples. Small enough to keep
 // all workers busy when starts < workers or one start dominates, large
 // enough that per-task overhead (channel hop, outcome slot) is noise. The
-// decomposition is a pure function of the Request, never of Workers, so it
-// cannot affect results.
+// decomposition is a pure function of the Request, never of the executor,
+// so it cannot affect results.
 const sampleChunk = 32
 
 // task is one unit of scheduled work: either the deterministic greedy
@@ -522,7 +524,7 @@ type outcome struct {
 // from root.SplitN(t.startIdx, sampleIdx) so a sample's growth is a pure
 // function of the task — independent of worker scheduling — and must return
 // early (with a partial outcome) once ctx is done.
-type chunkRunner func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream, req core.Request) outcome
+type chunkRunner func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream) outcome
 
 // multiStart is the shared parallel driver: it decomposes the per-start
 // sample budget into (start, sample-chunk) tasks, runs them as one job on
@@ -564,8 +566,7 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	// The sampler backend is decided once from whole-graph statistics so
 	// every growth of this solve — region or whole-graph — draws from the
 	// random stream identically.
-	useFen := req.Sampler == core.SamplerFenwick ||
-		(req.Sampler == core.SamplerAuto && float64(req.K)*g.AvgDegree() > FenwickCrossover)
+	useFen := float64(req.K)*g.AvgDegree() > FenwickCrossover
 	root := rng.New(req.Seed)
 
 	// Locality: fetch or extract one (K−1)-hop region per start. regions
@@ -582,8 +583,8 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	// incumbent to the best greedy completion across ALL starts before any
 	// sample is drawn — a strictly tighter pruning bound than the per-start
 	// warm start it replaces. Sampling chunks follow in start-major order.
-	// The decomposition is a function of the Request only, never of
-	// Workers, so it cannot affect results.
+	// The decomposition is a function of the Request only, never of the
+	// executor, so it cannot affect results.
 	chunks := (budget + sampleChunk - 1) / sampleChunk
 	tasks := make([]task, 0, len(starts)*(chunks+1))
 	if warm {
@@ -619,13 +620,12 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 		pool = newWorkspacePool(g, wsCap)
 	}
 	// Every task runs on an Executor — the context's, else the package
-	// default — with Request.Workers as the solve's parallelism cap. Each
-	// task binds its substrate: this start's compact region when one
-	// exists, the whole graph otherwise (growth is bit-identical either
-	// way, see graph.Region; only the memory footprint changes). Outcomes
-	// land in task order, so Report.Best is schedule-independent.
+	// default. Each task binds its substrate: this start's compact region
+	// when one exists, the whole graph otherwise (growth is bit-identical
+	// either way, see graph.Region; only the memory footprint changes).
+	// Outcomes land in task order, so Report.Best is schedule-independent.
 	deadline, _ := ctx.Deadline()
-	expired := executorFor(ctx).run(LaneFor(ctx), deadline, req.Workers, len(tasks), func(idx int) {
+	expired := executorFor(ctx).run(LaneFor(ctx), deadline, len(tasks), func(idx int) {
 		if ctx.Err() != nil {
 			return // cancelled solve: drain remaining tasks as no-ops
 		}
@@ -640,7 +640,7 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 		} else {
 			ws.bindGraph(global)
 		}
-		outcomes[idx] = run(ctx, ws, t, start, root, req)
+		outcomes[idx] = run(ctx, ws, t, start, root)
 	})
 	if expired && ctx.Err() == nil {
 		// The executor dropped tasks because the deadline passed at

@@ -65,18 +65,19 @@ func TestSolverInvariants(t *testing.T) {
 }
 
 // TestWorkerIndependence: a fixed seed yields the identical best group (and
-// sample count) no matter how many workers run the tasks. Pruned is
-// deliberately not compared — it is advisory, a function of how fast the
-// shared incumbent rises under a given schedule. The exhaustive version of
-// this check is TestWorkerCountInvariance.
+// sample count) no matter how many workers the executor running the tasks
+// has. Pruned is deliberately not compared — it is advisory, a function of
+// how fast the shared incumbent rises under a given schedule. The
+// exhaustive version of this check is TestWorkerCountInvariance.
 func TestWorkerIndependence(t *testing.T) {
-	ctx := context.Background()
 	g := powerlawInstance(t, 500, 11)
 	for _, s := range All() {
 		var ref core.Report
 		for i, workers := range []int{1, 2, 8} {
-			w := workers
-			rep, err := s.Solve(ctx, g, req(10, func(r *core.Request) { r.Samples = 40; r.Seed = 9; r.Workers = w }))
+			ex := NewExecutor(workers)
+			rep, err := s.Solve(WithExecutor(context.Background(), ex), g,
+				req(10, func(r *core.Request) { r.Samples = 40; r.Seed = 9 }))
+			ex.Close()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", s.Name(), workers, err)
 			}
@@ -229,21 +230,23 @@ func integralGraph(t *testing.T, rnd *rand.Rand) *graph.Graph {
 // counters. That holds on graphs with negative τ too, whose negative edge
 // gains the bound must not count, and through exact ties, where a growth
 // whose bound equals the incumbent may still win Better's node-set
-// tie-break (the strict < against the shared incumbent in hopeless).
+// tie-break (the strict < against the shared incumbent in hopeless). The
+// unpruned reference is the same solve on a Prep whose bound table is
+// +Inf; the random families run on a one-worker executor, so the pruned
+// solve's incumbent rises in one fixed order.
 func TestPruningInvariance(t *testing.T) {
 	ctx := context.Background()
+	unpruned := func(ctx context.Context, g *graph.Graph) context.Context {
+		return WithPrep(ctx, unprunedPrep(testBind(g)))
+	}
 	g := richCliqueGraph(t)
 	for _, s := range []Solver{CBAS{}, CBASND{}} {
-		on, err := s.Solve(ctx, g, req(5, func(r *core.Request) { r.Samples = 200; r.Seed = 4; r.Starts = 3 }))
+		r := req(5, func(r *core.Request) { r.Samples = 200; r.Seed = 4; r.Starts = 3 })
+		on, err := s.Solve(ctx, g, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := s.Solve(ctx, g, req(5, func(r *core.Request) {
-			r.Samples = 200
-			r.Seed = 4
-			r.Starts = 3
-			r.Prune = false
-		}))
+		off, err := s.Solve(unpruned(ctx, g), g, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,22 +254,23 @@ func TestPruningInvariance(t *testing.T) {
 			t.Errorf("%s: pruning changed the result: %v vs %v", s.Name(), on.Best, off.Best)
 		}
 		if off.Pruned != 0 {
-			t.Errorf("%s: Prune=false still pruned %d samples", s.Name(), off.Pruned)
+			t.Errorf("%s: unpruned solve still pruned %d samples", s.Name(), off.Pruned)
 		}
 		if s.Name() == "cbas" && on.Pruned == 0 {
 			t.Errorf("cbas: expected the bound to prune some uniform samples on the rich-clique instance")
 		}
 	}
 
+	ex := NewExecutor(1)
+	defer ex.Close()
+	seq := WithExecutor(ctx, ex)
 	invariant := func(family string, i int, g *graph.Graph, r core.Request) {
 		for _, s := range []Solver{CBAS{}, CBASND{}} {
-			r.Prune = true
-			on, err := s.Solve(ctx, g, r)
+			on, err := s.Solve(seq, g, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.Prune = false
-			off, err := s.Solve(ctx, g, r)
+			off, err := s.Solve(unpruned(seq, g), g, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,13 +283,13 @@ func TestPruningInvariance(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	for i := 0; i < 40; i++ {
 		invariant("signed", i, signedGraph(t, rnd),
-			req(5, func(r *core.Request) { r.Starts = 4; r.Samples = 30; r.Seed = uint64(i); r.Workers = 1 }))
+			req(5, func(r *core.Request) { r.Starts = 4; r.Samples = 30; r.Seed = uint64(i) }))
 	}
 	for i := 0; i < 1500; i++ {
 		g := integralGraph(t, rnd)
 		k := 2 + rnd.Intn(3)
 		invariant("integral", i, g,
-			req(k, func(r *core.Request) { r.Starts = 4; r.Samples = 8; r.Seed = uint64(i); r.Workers = 1 }))
+			req(k, func(r *core.Request) { r.Starts = 4; r.Samples = 8; r.Seed = uint64(i) }))
 	}
 }
 
@@ -331,26 +335,33 @@ func TestSmallComponent(t *testing.T) {
 	}
 }
 
-// TestSamplerBackendsAgree: forcing the Fenwick backend must reproduce the
-// linear backend's guarantees (the two backends consume uniforms
-// differently, so exact equality is not required), and both must stay
-// within the greedy-seeded bound.
+// TestSamplerBackendsAgree: the Fenwick backend, which CBASND uses once
+// K·avgdeg exceeds FenwickCrossover, must keep the linear backend's
+// guarantees (the two sum weights in different orders, so exact equality
+// is not required), and both must stay within the greedy-seeded bound.
 func TestSamplerBackendsAgree(t *testing.T) {
 	ctx := context.Background()
 	g := powerlawInstance(t, 400, 21)
-	greedy, err := DGreedy{}.Solve(ctx, g, req(12, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []core.Sampler{core.SamplerLinear, core.SamplerFenwick} {
-		sk := kind
-		rep, err := CBASND{}.Solve(ctx, g, req(12, func(r *core.Request) { r.Samples = 40; r.Seed = 5; r.Sampler = sk }))
+	for _, tc := range []struct {
+		k       int
+		fenwick bool
+	}{{12, false}, {40, true}} {
+		if fenwick := float64(tc.k)*g.AvgDegree() > FenwickCrossover; fenwick != tc.fenwick {
+			t.Fatalf("k=%d: K·avgdeg = %.0f puts the solve on fenwick=%v, want %v",
+				tc.k, float64(tc.k)*g.AvgDegree(), fenwick, tc.fenwick)
+		}
+		greedy, err := DGreedy{}.Solve(ctx, g, req(tc.k, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSolution(t, g, 12, rep)
+		rep, err := CBASND{}.Solve(ctx, g, req(tc.k, func(r *core.Request) { r.Samples = 40; r.Seed = 5 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSolution(t, g, tc.k, rep)
 		if rep.Best.Willingness < greedy.Best.Willingness {
-			t.Errorf("sampler %s: cbasnd %.4f below dgreedy %.4f", kind, rep.Best.Willingness, greedy.Best.Willingness)
+			t.Errorf("k=%d fenwick=%v: cbasnd %.4f below dgreedy %.4f",
+				tc.k, tc.fenwick, rep.Best.Willingness, greedy.Best.Willingness)
 		}
 	}
 }
@@ -392,8 +403,8 @@ func TestErrorsAndRegistry(t *testing.T) {
 	if _, err := (CBAS{}).Solve(ctx, nil, req(5, nil)); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := (CBAS{}).Solve(ctx, g, req(5, func(r *core.Request) { r.Sampler = "bogus" })); err == nil {
-		t.Error("unknown sampler accepted")
+	if _, err := (CBAS{}).Solve(ctx, g, req(5, func(r *core.Request) { r.Samples = 1 << 40 })); err == nil {
+		t.Error("a budget past the Starts × Samples bound accepted")
 	}
 	for _, name := range Names() {
 		s, err := New(name)
@@ -442,7 +453,7 @@ func TestCancelledContext(t *testing.T) {
 	running, cancelRunning := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := (CBASND{}).Solve(running, g, req(10, func(r *core.Request) { r.Samples = 1 << 20; r.Prune = false }))
+		_, err := (CBASND{}).Solve(running, g, req(10, func(r *core.Request) { r.Samples = 1 << 20 }))
 		errCh <- err
 	}()
 	for ex.Stats().TasksInFlight == 0 && len(errCh) == 0 {
@@ -475,7 +486,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	began := time.Now()
-	_, err := (CBASND{}).Solve(ctx, g, req(20, func(r *core.Request) { r.Samples = 1 << 20; r.Prune = false }))
+	_, err := (CBASND{}).Solve(ctx, g, req(20, func(r *core.Request) { r.Samples = 1 << 20 }))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -248,14 +248,14 @@ func (ws *workspace) hopeless(bestW float64) bool {
 // Uniform growth (CBAS phase 2)
 
 // growUniform grows a connected group from start by drawing frontier nodes
-// uniformly at random until |set| = k or the frontier is exhausted. When
-// prune is set, the growth is abandoned (returning true) as soon as the
-// upper bound cannot beat bestW or the shared incumbent.
-func (ws *workspace) growUniform(start graph.NodeID, r *rng.Stream, bestW float64, prune bool) (pruned bool) {
+// uniformly at random until |set| = k or the frontier is exhausted. The
+// growth is abandoned (returning true) as soon as the upper bound cannot
+// beat bestW or the shared incumbent.
+func (ws *workspace) growUniform(start graph.NodeID, r *rng.Stream, bestW float64) (pruned bool) {
 	ws.reset()
 	ws.addUniform(start)
 	for len(ws.set) < ws.k && len(ws.pool) > 0 {
-		if prune && ws.hopeless(bestW) {
+		if ws.hopeless(bestW) {
 			return true
 		}
 		i := r.IntN(len(ws.pool))
@@ -291,10 +291,12 @@ type weightKind int
 const (
 	// weightDeltaPow draws v with P ∝ ΔW(v|S)^α — CBASND's adapted
 	// probabilities. Compatible with the Fenwick backend because the weight
-	// depends only on the slot's δ.
+	// depends only on the slot's δ. CBASND growths are pruned by the §3.1
+	// bound.
 	weightDeltaPow weightKind = iota
 	// weightGroup draws v with P ∝ W(S∪{v}) = W(S) + ΔW(v|S) — RGreedy.
-	// Step-dependent, so always drawn with the linear scanner.
+	// Step-dependent, so always drawn with the linear scanner. RGreedy is
+	// the paper's unpruned baseline, so these growths always run to k.
 	weightGroup
 )
 
@@ -471,16 +473,16 @@ func (ws *workspace) growGreedy(start graph.NodeID) {
 }
 
 // growWeighted grows randomly from start, drawing each next node with the
-// probability law selected by kind. When prune is set, the growth is
-// abandoned (returning true) once the upper bound cannot beat bestW or the
-// shared incumbent.
-func (ws *workspace) growWeighted(start graph.NodeID, r *rng.Stream, kind weightKind, bestW float64, prune bool) (pruned bool) {
+// probability law selected by kind. A weightDeltaPow growth is abandoned
+// (returning true) once the upper bound cannot beat bestW or the shared
+// incumbent; a weightGroup growth never is.
+func (ws *workspace) growWeighted(start graph.NodeID, r *rng.Stream, kind weightKind, bestW float64) (pruned bool) {
 	ws.reset()
 	ws.fenActive = ws.useFen && kind == weightDeltaPow
 	ws.linActive = !ws.useFen && kind == weightDeltaPow
 	ws.seedSlot(start)
 	for len(ws.set) < ws.k {
-		if prune && ws.hopeless(bestW) {
+		if kind == weightDeltaPow && ws.hopeless(bestW) {
 			return true
 		}
 		slot := ws.drawSlot(r, kind)
